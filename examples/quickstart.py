@@ -13,7 +13,7 @@ from repro import AsyncCluster, Delivery, ViewChange
 
 
 async def main() -> None:
-    async with AsyncCluster(record_trace=True) as cluster:
+    async with AsyncCluster() as cluster:
         alice, bob, carol = cluster.add_nodes(["alice", "bob", "carol"])
 
         view = await cluster.start()

@@ -15,11 +15,10 @@ from repro.runtime import Delivery, TcpCluster, ViewChange
 
 
 async def main() -> None:
-    async with TcpCluster(record_trace=True) as cluster:
+    async with TcpCluster() as cluster:
         nodes = await cluster.add_nodes(["athens", "berlin", "cairo"])
         view = await cluster.start()
-        ports = {n.pid: n.transport.port for n in nodes}
-        print(f"view {view.vid} over sockets {ports}")
+        print(f"view {view.vid} over {len(cluster.tier.servers) + len(nodes)} sockets")
 
         await nodes[0].send("routed through the kernel")
         await nodes[1].send("and back")
@@ -27,8 +26,8 @@ async def main() -> None:
 
         for node in nodes:
             received = []
-            while not node.events.empty():
-                event = node.events.get_nowait()
+            while not node.events_queue.empty():
+                event = node.events_queue.get_nowait()
                 if isinstance(event, Delivery):
                     received.append(f"{event.sender}: {event.payload!r}")
                 elif isinstance(event, ViewChange):

@@ -3,9 +3,9 @@
 The paper's algorithm is substrate-independent by construction; this
 package makes that executable.  :class:`Deployment` is the common
 contract, with backends over the discrete-event simulator
-(:class:`SimDeployment`), in-process asyncio queues
-(:class:`AsyncDeployment`), and real TCP sockets
-(:class:`TcpDeployment`).  :func:`run_scenario` runs any scenario
+(:class:`SimDeployment`) and the runtime clusters
+(:class:`RuntimeDeployment`: in-process asyncio queues or real TCP
+sockets).  :func:`run_scenario` runs any scenario
 coroutine on any substrate and returns the finished deployment for
 post-hoc trace checking::
 
@@ -18,10 +18,11 @@ post-hoc trace checking::
 from __future__ import annotations
 
 import asyncio
+import functools
 from typing import Any, Awaitable, Callable
 
-from repro.deploy.asyncio_backend import AsyncDeployment
 from repro.deploy.base import Deployment
+from repro.deploy.runtime import RuntimeDeployment
 from repro.deploy.scenarios import (
     SCENARIOS,
     scenario_churn,
@@ -31,14 +32,13 @@ from repro.deploy.scenarios import (
     scenario_virtual_synchrony,
 )
 from repro.deploy.sim import SimDeployment
-from repro.deploy.tcp_backend import TcpDeployment
 
 SUBSTRATES = ("sim", "async", "tcp")
 
 _BACKENDS = {
     "sim": SimDeployment,
-    "async": AsyncDeployment,
-    "tcp": TcpDeployment,
+    "async": functools.partial(RuntimeDeployment, "async"),
+    "tcp": functools.partial(RuntimeDeployment, "tcp"),
 }
 
 
@@ -84,10 +84,9 @@ def run_scenario(
 __all__ = [
     "SCENARIOS",
     "SUBSTRATES",
-    "AsyncDeployment",
     "Deployment",
+    "RuntimeDeployment",
     "SimDeployment",
-    "TcpDeployment",
     "make_deployment",
     "run_scenario",
     "scenario_churn",

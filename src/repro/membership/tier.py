@@ -11,8 +11,8 @@ counters, one-round (two in the cold-registry case) view agreement.
 
 This is what lets the asyncio and TCP deployments run the *same*
 membership algorithm as the simulator instead of an ad-hoc in-process
-coordinator: ``AsyncCluster`` links the tier to its ``AsyncHub``,
-``TcpCluster`` gives every server a real socket endpoint.
+coordinator: the runtime ``Cluster`` hosts every server as one more
+process of its driver (an ``AsyncHub`` inbox or a socket of its own).
 
 Topology input (who can reach whom among servers) is injected by the
 deployment when it partitions or heals its transport - the tier-side
@@ -61,8 +61,8 @@ class TierLink(Protocol):
     ``post`` hook made no such demand; each substrate carried tier
     traffic its own way.)
 
-    A link whose attach needs no awaiting (the asyncio hub, the
-    simulator) may additionally expose ``attach_sync`` with the same
+    A link whose attach needs no awaiting (the simulator) may
+    additionally expose ``attach_sync`` with the same
     signature; the tier then grows its own capacity on demand inside
     synchronous entry points like :meth:`MembershipTier.plan_partition`.
     """
@@ -255,7 +255,7 @@ class MembershipTier:
 
     def start_sync(self) -> None:
         """Synchronous :meth:`start` for links with ``attach_sync``
-        (the simulator's event-driven network, the asyncio hub)."""
+        (the simulator's event-driven network)."""
         if not self._grow_sync(self._initial_servers):
             raise TypeError("link has no attach_sync; use the async start()")
         self._start_registered()
@@ -455,7 +455,7 @@ class MembershipTier:
 
         When the tier is short of servers it grows itself, provided the
         link supports synchronous attachment (``attach_sync``); over
-        links that must await socket setup (TCP), call
+        the runtime drivers, whose attach is awaited, call
         :meth:`ensure_capacity` for ``len(groups)`` first.  Clients in
         no group are cut off entirely (singleton components).
         """

@@ -27,7 +27,6 @@ from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
-from repro.core.messages import WireMessage
 from repro.core.runner import EndpointRunner
 from repro.errors import SettleTimeoutError, TransportError
 from repro.membership.failure_detector import TopologyFailureDetector
@@ -85,17 +84,14 @@ class SimNode:
         # bookkeeping; see :meth:`set_app`.
         self._app_on_deliver: Optional[Callable[[ProcessId, Any], None]] = None
         self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
-        # Optional overlay interceptors (e.g. the two-tier hierarchy of
-        # repro.net.hierarchy): return True to consume the send/receive.
-        self.wire_interceptor: Optional[Callable[[FrozenSet[ProcessId], Any], bool]] = None
-        self.receive_interceptor: Optional[Callable[[ProcessId, Any], bool]] = None
-        self.transport = world.network and None  # replaced below
         from repro.net.transport import SimTransport  # local import: no cycle
 
         self.transport = SimTransport(pid, world.network, self._on_wire_message)
         self.runner = EndpointRunner(
             endpoint,
-            send_wire=self._send_wire,
+            # Late-bound, so class-level instrumentation of
+            # SimTransport.send sees every wire send.
+            send_wire=lambda targets, message: self.transport.send(targets, message),
             set_reliable=self.transport.set_reliable,
             on_deliver=self._record_delivery,
             on_view=self._record_view,
@@ -107,11 +103,6 @@ class SimNode:
 
     # -- outbound ---------------------------------------------------------
 
-    def _send_wire(self, targets: FrozenSet[ProcessId], message: WireMessage) -> None:
-        if self.wire_interceptor is not None and self.wire_interceptor(targets, message):
-            return
-        self.transport.send(targets, message)
-
     def send(self, payload: Any) -> None:
         """Application-level multicast to the current view."""
         self.runner.app_send(payload)
@@ -119,8 +110,6 @@ class SimNode:
     # -- inbound ----------------------------------------------------------
 
     def _on_wire_message(self, src: ProcessId, message: Any) -> None:
-        if self.receive_interceptor is not None and self.receive_interceptor(src, message):
-            return
         if isinstance(message, StartChangeNotice):
             self.runner.membership_start_change(message.cid, message.members)
         elif isinstance(message, ViewNotice):

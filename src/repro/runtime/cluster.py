@@ -1,11 +1,16 @@
-"""Convenience cluster for asyncio deployments.
+"""One runtime cluster over a driver.
 
-``AsyncCluster`` bundles an :class:`~repro.runtime.transport.AsyncHub`,
-a :class:`~repro.membership.tier.MembershipTier` of real membership
-servers (the same one-round client-server protocol the simulator runs -
-see :mod:`repro.membership.server`), and node management.  Membership
-notices travel over the hub like any other traffic, so partitions cut
+A :class:`Cluster` bundles a *driver* (the only substrate-specific
+part), a :class:`~repro.membership.tier.MembershipTier` of real
+membership servers (the same one-round client-server protocol the
+simulator runs - see :mod:`repro.membership.server`), and node
+management.  Membership servers are driver processes like any client,
+so their notices travel like any other traffic and partitions cut
 clients off from their servers exactly as a WAN partition would.
+
+:class:`AsyncCluster` runs on the in-process
+:class:`~repro.runtime.transport.AsyncHub`;
+:class:`~repro.runtime.tcp_cluster.TcpCluster` runs on real sockets.
 
 All settling is event-driven: view installations wake the waiters, and a
 stuck protocol raises :class:`~repro.errors.SettleTimeoutError` instead
@@ -17,11 +22,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Awaitable, Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol
 
 from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
-from repro.core.forwarding import ForwardingStrategy
+from repro.links import LinkCore
 from repro.membership.tier import MembershipTier
 from repro.runtime.node import AsyncGcsNode
 from repro.runtime.settle import await_settled, describe_views
@@ -29,59 +34,66 @@ from repro.runtime.settle import settle_timeout as env_settle_timeout
 from repro.runtime.transport import AsyncHub
 from repro.types import VID_ZERO, ProcessId, View
 
+Handler = Callable[[ProcessId, Any], None]
 
-class HubTierLink:
-    """Hosts membership servers on an :class:`AsyncHub`.
 
-    Servers are hub processes like any client: ``transmit`` rides
-    ``hub.send``, which admits every message through the shared
-    :class:`~repro.links.LinkCore` (``outbound`` on entry,
-    ``inbound_batch`` in the pumps) - tier traffic sees the same
-    partition matrix, fault pipeline, dedup and counters as data.
+class Driver(Protocol):
+    """How messages reach their peer: all a substrate contributes.
+
+    Link semantics (partition matrix, faults, dedup, counters) live in
+    the driver's shared ``core``; ``send`` must admit every message
+    through it and be fire-and-forget and order-preserving per sender.
+    ``register`` may return an awaitable (sockets must listen first).
     """
 
-    def __init__(self, hub: AsyncHub) -> None:
-        self.hub = hub
+    core: LinkCore
 
-    async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        self.attach_sync(sid, handler)
+    def register(self, pid: ProcessId, handler: Handler) -> Optional[Awaitable[None]]:
+        ...  # pragma: no cover - protocol
 
-    def attach_sync(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        # Hub registration needs no awaiting, so the tier may grow its
-        # own capacity mid-plan (MembershipTier._grow_sync).
-        self.hub.register(sid, handler)
+    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
+        ...  # pragma: no cover - protocol
+
+    async def quiesce(self) -> None:
+        ...  # pragma: no cover - protocol
+
+    async def close(self) -> None:
+        ...  # pragma: no cover - protocol
+
+
+class DriverTierLink:
+    """Hosts membership servers on a driver, as processes of their own.
+
+    Tier traffic rides ``driver.send``, so it sees the same partition
+    matrix, fault pipeline, dedup and counters as data.
+    """
+
+    def __init__(self, driver: Driver) -> None:
+        self.driver = driver
+
+    async def attach(self, sid: ProcessId, handler: Handler) -> None:
+        registered = self.driver.register(sid, handler)
+        if registered is not None:
+            await registered
 
     def transmit(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
-        self.hub.send(src, [dst], message)
+        self.driver.send(src, (dst,), message)
 
 
-class AsyncCluster:
-    """An in-process group of GCS nodes with server-based membership."""
+class Cluster:
+    """A group of GCS nodes with server-based membership over a driver."""
 
     def __init__(
-        self,
-        *,
-        delay: float = 0.0,
-        forwarding: Optional[ForwardingStrategy] = None,
-        record_trace: bool = True,
-        servers: int = 1,
-        settle_timeout: Optional[float] = None,
-        faults: Optional[FaultInjector] = None,
-        fastpath: Optional[bool] = None,
+        self, driver: Driver, *, servers: int = 1, fastpath: Optional[bool] = None
     ) -> None:
-        del record_trace  # accepted for compatibility; tracing is unconditional
-        self.hub = AsyncHub(delay=delay, faults=faults)
+        self.driver = driver
         self.nodes: Dict[ProcessId, AsyncGcsNode] = {}
         self.trace: GcsTrace = GcsTrace()
-        self._forwarding = forwarding
         self._fastpath = fastpath
-        self._settle_timeout = (
-            env_settle_timeout(10.0) if settle_timeout is None else settle_timeout
-        )
         self.tier = MembershipTier(
-            HubTierLink(self.hub),
+            DriverTierLink(driver),
             servers=servers,
-            links=self.hub.core,
+            links=driver.core,
             trace=self.trace,
             clock=time.monotonic,
         )
@@ -93,40 +105,31 @@ class AsyncCluster:
         return self.tier.views_formed
 
     @property
-    def links(self):
-        """The hub's unified :class:`~repro.links.LinkCore`."""
-        return self.hub.core
+    def links(self) -> LinkCore:
+        """The driver's unified :class:`~repro.links.LinkCore`."""
+        return self.driver.core
 
     def totals(self) -> Dict[str, int]:
         """Per-kind wire-message counters (uniform across substrates)."""
-        return self.hub.core.totals()
+        return self.driver.core.totals()
 
     def reset_counters(self) -> None:
-        self.hub.core.reset_counters()
+        self.driver.core.reset_counters()
 
     # ------------------------------------------------------------------
     # topology management
     # ------------------------------------------------------------------
 
-    def add_node(self, pid: ProcessId) -> AsyncGcsNode:
-        node = AsyncGcsNode(
-            pid,
-            self.hub,
-            forwarding=self._forwarding,
-            trace=self.trace,
-            on_view_installed=self._view_installed,
-            fastpath=self._fastpath,
+    def _new_node(self, pid: ProcessId) -> AsyncGcsNode:
+        return AsyncGcsNode(
+            pid, self.driver, trace=self.trace, progress=self._progress, fastpath=self._fastpath
         )
-        self.nodes[pid] = node
-        self.tier.add_client(pid)
+
+    def _admit(self, node: AsyncGcsNode) -> AsyncGcsNode:
+        """Adopt a node whose handler the driver has registered."""
+        self.nodes[node.pid] = node
+        self.tier.add_client(node.pid)
         return node
-
-    def add_nodes(self, pids: Iterable[ProcessId]) -> List[AsyncGcsNode]:
-        return [self.add_node(pid) for pid in pids]
-
-    def _view_installed(self, node: AsyncGcsNode, view: View) -> None:
-        del node, view
-        self._progress.set()
 
     async def start(self) -> View:
         """Activate the membership tier; wait for the all-nodes view."""
@@ -136,7 +139,7 @@ class AsyncCluster:
     async def reconfigure(self, members: Iterable[ProcessId]) -> View:
         """Drive the membership to ``members`` and wait for the view.
 
-        The tier's servers run their agreement round(s) over the hub;
+        The tier's servers run their agreement round(s) over the driver;
         this returns once every member's end-point has installed one
         common view with exactly ``members``.
         """
@@ -179,39 +182,31 @@ class AsyncCluster:
         await await_settled(
             predicate,
             self._progress,
-            timeout=self._settle_timeout if timeout is None else timeout,
+            timeout=env_settle_timeout(10.0) if timeout is None else timeout,
             describe=lambda: "awaiting view %s; %s"
             % (members, describe_views({p: self.nodes[p] for p in members})),
         )
         return self.nodes[members[0]].current_view
 
-    async def await_view(self, view: View, timeout: float = 10.0) -> None:
-        """Wait until every member of ``view`` has installed it."""
-        await await_settled(
-            lambda: all(self.nodes[pid].current_view == view for pid in view.members),
-            self._progress,
-            timeout=timeout,
-            describe=lambda: describe_views({p: self.nodes[p] for p in view.members}),
-        )
-
     async def quiesce(self) -> None:
-        await self.hub.quiesce()
+        """Wait until no traffic is left in flight (see the driver)."""
+        await self.driver.quiesce()
 
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
 
     async def partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[View]:
-        """Split the hub into components; one view forms per group.
+        """Split the network into components; one view forms per group.
 
         Each group gets its own membership server (grown on demand), cut
-        off - together with its clients - from the rest of the world,
-        mirroring the simulator's drop-across-the-cut semantics.
+        off - together with its clients - from the rest of the world on
+        the driver's link core, mirroring the simulator's
+        drop-across-the-cut semantics.
         """
         groups = [list(group) for group in groups]
         # Crashed servers hold no partition group: capacity must cover
-        # the groups with *alive* servers (the simulator grows its
-        # tier synchronously; sockets need the explicit await here).
+        # the groups with *alive* servers.
         await self.tier.ensure_capacity(
             max(
                 len(groups) + len(self.tier.crashed_servers()),
@@ -219,7 +214,7 @@ class AsyncCluster:
             )
         )
         plan = self.tier.plan_partition(groups)
-        # The tier cuts the hub's link core along plan.components itself.
+        # The tier cuts the driver's link core along plan.components itself.
         self.tier.apply_partition(plan)
         views = []
         for group in groups:
@@ -228,7 +223,7 @@ class AsyncCluster:
 
     async def heal(self) -> View:
         """Reconnect everyone; wait for the merged view."""
-        self.tier.heal()  # heals the hub's link core too
+        self.tier.heal()  # heals the driver's link core too
         return await self.await_members(self.tier.active_members())
 
     async def crash(self, pid: ProcessId) -> Optional[View]:
@@ -279,7 +274,7 @@ class AsyncCluster:
         return views
 
     async def close(self) -> None:
-        await self.hub.close()
+        await self.driver.close()
 
     # ------------------------------------------------------------------
     # convenience
@@ -288,8 +283,30 @@ class AsyncCluster:
     def node(self, pid: ProcessId) -> AsyncGcsNode:
         return self.nodes[pid]
 
-    async def __aenter__(self) -> "AsyncCluster":
+    async def __aenter__(self) -> "Cluster":
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.close()
+
+
+class AsyncCluster(Cluster):
+    """An in-process cluster on an :class:`AsyncHub`."""
+
+    def __init__(
+        self,
+        *,
+        delay: float = 0.0,
+        servers: int = 1,
+        faults: Optional[FaultInjector] = None,
+        fastpath: Optional[bool] = None,
+    ) -> None:
+        super().__init__(AsyncHub(delay=delay, faults=faults), servers=servers, fastpath=fastpath)
+
+    def add_node(self, pid: ProcessId) -> AsyncGcsNode:
+        node = self._new_node(pid)
+        self.driver.register(pid, node.on_wire)
+        return self._admit(node)
+
+    def add_nodes(self, pids: Iterable[ProcessId]) -> List[AsyncGcsNode]:
+        return [self.add_node(pid) for pid in pids]

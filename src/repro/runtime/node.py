@@ -6,6 +6,11 @@
 the application automatically: while the end-point has requested a block,
 ``send`` waits; the node acknowledges the block (``block_ok``) once the
 application has no send in flight.
+
+The node runs over any runtime *driver* (:class:`~repro.runtime.transport.AsyncHub`
+or :class:`~repro.runtime.tcp.TcpDriver`): wire messages leave through
+``driver.send`` and arrive at :meth:`AsyncGcsNode.on_wire`, which the
+owner registers with the driver.
 """
 
 from __future__ import annotations
@@ -13,15 +18,16 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.checking.events import GcsTrace
-from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.runner import EndpointRunner
 from repro.membership.protocol import StartChangeNotice, ViewNotice
-from repro.runtime.transport import AsyncHub
 from repro.types import ProcessId, StartChangeId, View
+
+if TYPE_CHECKING:
+    from repro.runtime.cluster import Driver
 
 
 @dataclass(frozen=True)
@@ -41,45 +47,44 @@ class ViewChange:
 
 
 class AsyncGcsNode:
-    """One group member running over an :class:`AsyncHub`."""
+    """One group member over a runtime driver.
+
+    ``progress`` (if given) is set on every view installation, to wake
+    whoever waits for the group to settle.
+    """
 
     def __init__(
         self,
         pid: ProcessId,
-        hub: AsyncHub,
+        driver: "Driver",
         *,
-        forwarding: Optional[ForwardingStrategy] = None,
         trace: Optional[GcsTrace] = None,
-        queue_views: bool = True,
-        on_view_installed: Optional[Callable[["AsyncGcsNode", View], None]] = None,
+        progress: Optional[asyncio.Event] = None,
         fastpath: Optional[bool] = None,
     ) -> None:
         self.pid = pid
-        self.hub = hub
-        kwargs = {"gc_views": True}
-        if forwarding is not None:
-            kwargs["forwarding"] = forwarding
-        self.endpoint = GcsEndpoint(pid, **kwargs)
+        self.endpoint = GcsEndpoint(pid, gc_views=True)
         self.events_queue: asyncio.Queue = asyncio.Queue()
-        self.queue_views = queue_views
         self.delivered: List[Tuple[ProcessId, Any]] = []
         self.views: List[View] = []
-        self._on_view_installed = on_view_installed
+        self._progress = progress
         self._unblocked = asyncio.Event()
         self._unblocked.set()
         self.runner = EndpointRunner(
             self.endpoint,
-            send_wire=lambda targets, m: hub.send(pid, targets, m),
-            set_reliable=lambda targets: None,  # hub is lossless in-process
+            send_wire=lambda targets, m: driver.send(pid, targets, m),
+            # Both drivers are reliable while connected (in-process
+            # queues; TCP reconnects on demand), so there is no per-link
+            # retransmission state to arm.
+            set_reliable=lambda targets: None,
             on_deliver=self._on_deliver,
             on_view=self._on_view,
-            on_block=self._on_block,
+            on_block=self._unblocked.clear,
             auto_block_ok=True,
             clock=time.monotonic,
             trace=trace,
             fastpath=fastpath,
         )
-        hub.register(pid, self._on_wire)
 
     # ------------------------------------------------------------------
     # application API
@@ -132,7 +137,8 @@ class AsyncGcsNode:
     def crashed(self) -> bool:
         return self.endpoint.crashed
 
-    def _on_wire(self, src: ProcessId, message: Any) -> None:
+    def on_wire(self, src: ProcessId, message: Any) -> None:
+        """The driver handler: one wire message from ``src``."""
         if self.endpoint.crashed:
             return  # a crashed end-point hears nothing (Section 8)
         if isinstance(message, StartChangeNotice):
@@ -160,11 +166,7 @@ class AsyncGcsNode:
 
     def _on_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:
         self.views.append(view)
-        if self.queue_views:
-            self.events_queue.put_nowait(ViewChange(view, transitional))
+        self.events_queue.put_nowait(ViewChange(view, transitional))
         self._unblocked.set()
-        if self._on_view_installed is not None:
-            self._on_view_installed(self, view)
-
-    def _on_block(self) -> None:
-        self._unblocked.clear()
+        if self._progress is not None:
+            self._progress.set()

@@ -1,20 +1,20 @@
-"""Length-prefixed TCP transport for cross-process deployments.
+"""Length-prefixed TCP transport and the socket driver.
 
-``TcpTransport`` is the socket *driver* over the unified
-:class:`~repro.links.LinkCore`: it gives a GCS node a real network face
-- it listens on a local endpoint, opens connections to peers lazily,
-and frames pickled wire messages with a 4-byte big-endian length prefix
-- while all link semantics (the partition/reachability matrix behind
-:meth:`restrict`, fault application, receiver-side deduplication,
-message counters) live in the core.  TCP supplies the FIFO, gap-free
-delivery CO_RFIFO requires per connection; a broken connection
-corresponds to CO_RFIFO losing a suffix, after which the membership
-service is expected to reconfigure - the same assumption the paper
-makes of its datagram substrate [36].
+``TcpTransport`` gives one process a real network face over the unified
+:class:`~repro.links.LinkCore`: it listens on a local endpoint, opens
+connections to peers lazily, and frames pickled wire messages with a
+4-byte big-endian length prefix, while all link semantics (the
+partition/reachability matrix behind :meth:`~TcpTransport.restrict`,
+fault application, receiver-side deduplication, message counters) live
+in the core.  TCP supplies the FIFO, gap-free delivery CO_RFIFO requires
+per connection; a broken connection corresponds to CO_RFIFO losing a
+suffix, after which the membership service is expected to reconfigure -
+the same assumption the paper makes of its datagram substrate [36].
 
-A cluster passes one shared ``core`` to every transport, so a single
+``TcpDriver`` is the runtime's socket driver: one transport and one
+outbox pump per registered process, all sharing one core, so a single
 partition matrix (and a single counter set) covers the whole
-deployment; a standalone transport creates its own.
+deployment.  A standalone transport creates its own core.
 
 Security note: frames are deserialised with :mod:`pickle`, so this
 transport must only be used among mutually trusted processes (it is meant
@@ -26,17 +26,25 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import TransportError
+from repro.errors import SettleTimeoutError, TransportError
 from repro.links import BatchAccumulator, LinkCore, MessageBatch
+from repro.membership.protocol import SERVER_PREFIX
+from repro.runtime.settle import settle_timeout as env_settle_timeout
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
 
 _LENGTH = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
+
+# Quiescence over sockets is a stability window (there is no global
+# in-flight count): nothing unfinished, and nothing written for _IDLE seconds.
+_IDLE = 0.08
+_POLL = 0.02
 
 
 def encode_frame(pid: ProcessId, message: Any) -> bytes:
@@ -236,3 +244,100 @@ class TcpTransport:
             pass  # shutdown cancels pending reads; nothing to report
         finally:
             writer.close()
+
+
+class TcpDriver:
+    """The socket driver: one :class:`TcpTransport` per registered process.
+
+    ``send`` is fire-and-forget like :meth:`AsyncHub.send
+    <repro.runtime.transport.AsyncHub.send>`: runners and membership
+    servers produce wire messages synchronously, so each process gets an
+    outbox pump that writes them to its sockets in order.  All
+    transports share one :class:`~repro.links.LinkCore` (one partition
+    matrix, fault pipeline and counter set) and one live address book.
+    """
+
+    def __init__(self, *, faults: Optional[FaultInjector] = None) -> None:
+        self.core = LinkCore(faults=faults)
+        self._transports: Dict[ProcessId, TcpTransport] = {}
+        self._addresses: Dict[ProcessId, Tuple[str, int]] = {}
+        self._outboxes: Dict[ProcessId, asyncio.Queue] = {}
+        # Entries enqueued per process and not yet written out - popped
+        # runs that a pump is still sending (or holding back) included.
+        self._unfinished: Dict[ProcessId, int] = {}
+        self._pumps: Dict[ProcessId, asyncio.Task] = {}
+        self._last_write = 0.0  # time.monotonic() when a run last left
+
+    async def register(self, pid: ProcessId, handler: Handler) -> None:
+        if pid in self._transports:
+            raise ValueError(f"duplicate process {pid!r}")
+        transport = TcpTransport(pid, handler, core=self.core)
+        transport.peers = self._addresses  # shared, so late joiners are seen
+        self._transports[pid] = transport
+        self._outboxes[pid] = asyncio.Queue()
+        self._unfinished[pid] = 0
+        self._addresses[pid] = await transport.start()
+        self._pumps[pid] = asyncio.get_event_loop().create_task(self._pump(pid))
+
+    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
+        self._unfinished[src] += 1
+        self._outboxes[src].put_nowait((targets, message))
+
+    async def _pump(self, pid: ProcessId) -> None:
+        outbox = self._outboxes[pid]
+        while True:
+            targets, message = await outbox.get()
+            run: List[Any] = [message]
+            # Coalesce the backlog: consecutive entries towards the same
+            # target set leave as one batched frame per destination
+            # (send_many), instead of one pickle+write per message.  Queue
+            # order is preserved, so per-connection FIFO is untouched.
+            while not outbox.empty():
+                next_targets, next_message = outbox.get_nowait()
+                if next_targets != targets:
+                    await self._write(pid, targets, run)
+                    targets, run = next_targets, []
+                run.append(next_message)
+            await self._write(pid, targets, run)
+
+    async def _write(self, pid: ProcessId, targets: Iterable[ProcessId], run: List[Any]) -> None:
+        await self._transports[pid].send_many(targets, run)
+        self._unfinished[pid] -= len(run)
+        self._last_write = time.monotonic()
+
+    async def quiesce(self) -> None:
+        """Wait until nothing is unfinished and nothing was written for
+        the idle window (a frame on the wire lands well within it).
+
+        Raises :class:`SettleTimeoutError` when the window never closes
+        within the ``$REPRO_SETTLE_TIMEOUT``-scaled settle deadline.
+        """
+        timeout = env_settle_timeout(10.0)
+        start = time.monotonic()
+        while True:
+            await asyncio.sleep(_POLL)
+            now = time.monotonic()
+            unfinished = sum(self._unfinished.values())
+            if not unfinished and now - max(start, self._last_write) >= _IDLE:
+                return
+            if now - start >= timeout:
+                # Tier traffic rides the same fabric as data; a stall
+                # caused by membership messages should say so, per server.
+                tier = {
+                    str(pid): depth
+                    for pid, depth in sorted(self._unfinished.items())
+                    if depth and str(pid).startswith(SERVER_PREFIX)
+                }
+                raise SettleTimeoutError(
+                    f"TCP cluster still active after {timeout:.1f}s "
+                    f"({unfinished} unfinished send(s)); "
+                    + (f"pending tier messages: {tier}" if tier else "no pending tier messages")
+                    + f"; busiest links: {self.core.stats.describe_links()}"
+                )
+
+    async def close(self) -> None:
+        for task in self._pumps.values():
+            task.cancel()
+        await asyncio.gather(*self._pumps.values(), return_exceptions=True)
+        for transport in self._transports.values():
+            await transport.close()

@@ -1,14 +1,12 @@
 """A GCS cluster over real TCP sockets.
 
-``TcpCluster`` runs each member's end-point behind a
-:class:`~repro.runtime.tcp.TcpTransport`: every wire message crosses a
-real loopback (or LAN) socket, giving the closest analogue to the
-paper's C++ deployment this repository offers.  Membership is provided
-by a :class:`~repro.membership.tier.MembershipTier` whose servers each
-listen on their *own* socket - start_change and view notices cross the
-kernel exactly like application traffic, and partitions (emulated with
-per-transport frame filters) cut clients off from their servers the way
-a real network split would.
+``TcpCluster`` is the runtime :class:`~repro.runtime.cluster.Cluster`
+on a :class:`~repro.runtime.tcp.TcpDriver`: every member and every
+membership server listens on its own socket, so wire messages and
+start_change/view notices alike cross the kernel - the closest analogue
+to the paper's C++ deployment this repository offers.  Partitions are
+cuts in the driver's shared link core, which drops frames across them
+the way a real network split would.
 
 TCP supplies CO_RFIFO's per-connection gap-free FIFO; a broken
 connection is a lost suffix, after which the membership must
@@ -17,465 +15,31 @@ reconfigure - the assumption the paper makes of its substrate [36].
 
 from __future__ import annotations
 
-import asyncio
-import time
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.chaos.faults import FaultInjector
-from repro.checking.events import GcsTrace
-from repro.core.gcs_endpoint import GcsEndpoint
-from repro.links import LinkCore
-from repro.core.runner import EndpointRunner
-from repro.errors import SettleTimeoutError
-from repro.membership.protocol import StartChangeNotice, ViewNotice
-from repro.membership.tier import MembershipTier
-from repro.runtime.node import Delivery, ViewChange
-from repro.runtime.settle import await_settled, describe_views
-from repro.runtime.settle import settle_timeout as env_settle_timeout
-from repro.runtime.tcp import TcpTransport
-from repro.types import VID_ZERO, ProcessId, View
+from repro.runtime.cluster import Cluster
+from repro.runtime.node import AsyncGcsNode
+from repro.runtime.tcp import TcpDriver
+from repro.types import ProcessId
 
 
-class TcpGcsNode:
-    """One member: end-point + runner + TCP transport + outbox pump."""
-
-    def __init__(self, pid: ProcessId, cluster: "TcpCluster") -> None:
-        self.pid = pid
-        self.cluster = cluster
-        self.endpoint = GcsEndpoint(pid, gc_views=True)
-        self.events: asyncio.Queue = asyncio.Queue()
-        self.delivered: List[Tuple[ProcessId, Any]] = []
-        self.views: List[View] = []
-        self._unblocked = asyncio.Event()
-        self._unblocked.set()
-        # wire sends are produced synchronously by the runner but must be
-        # awaited on sockets: an outbox task serialises them in order.
-        self._outbox: asyncio.Queue = asyncio.Queue()
-        self.transport = TcpTransport(pid, self._on_wire, core=cluster.links)
-        self.runner = EndpointRunner(
-            self.endpoint,
-            send_wire=lambda targets, m: self._outbox.put_nowait((targets, m)),
-            set_reliable=lambda targets: None,  # TCP reconnects on demand
-            on_deliver=self._on_deliver,
-            on_view=self._on_view,
-            on_block=self._unblocked.clear,
-            auto_block_ok=True,
-            clock=time.monotonic,
-            trace=cluster.trace,
-            fastpath=cluster._fastpath,
-        )
-        self._pump_task: Optional[asyncio.Task] = None
-
-    @property
-    def events_queue(self) -> asyncio.Queue:
-        """Alias matching :class:`AsyncGcsNode`, for substrate-generic code."""
-        return self.events
-
-    async def start(self) -> Tuple[str, int]:
-        address = await self.transport.start()
-        self._pump_task = asyncio.get_event_loop().create_task(self._pump())
-        return address
-
-    async def stop(self) -> None:
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            await asyncio.gather(self._pump_task, return_exceptions=True)
-        await self.transport.close()
-
-    async def _pump(self) -> None:
-        while True:
-            targets, message = await self._outbox.get()
-            run: List[Any] = [message]
-            # Coalesce the backlog: consecutive outbox entries towards the
-            # same target set leave as one batched frame per destination
-            # (send_many), instead of one pickle+write per message.  Queue
-            # order is preserved, so per-connection FIFO is untouched.
-            while True:
-                try:
-                    next_targets, next_message = self._outbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if next_targets == targets:
-                    run.append(next_message)
-                    continue
-                await self.transport.send_many(targets, run)
-                for _ in run:
-                    self._outbox.task_done()
-                targets, run = next_targets, [next_message]
-            await self.transport.send_many(targets, run)
-            for _ in run:
-                self._outbox.task_done()
-
-    def _on_wire(self, src: ProcessId, message: Any) -> None:
-        if self.endpoint.crashed:
-            return  # a crashed end-point hears nothing (Section 8)
-        if isinstance(message, StartChangeNotice):
-            self.runner.membership_start_change(message.cid, message.members)
-        elif isinstance(message, ViewNotice):
-            self.runner.membership_view(message.view)
-        else:
-            self.runner.receive(src, message)
-        if not self.runner.blocked:
-            self._unblocked.set()
-
-    def _on_deliver(self, sender: ProcessId, payload: Any) -> None:
-        self.delivered.append((sender, payload))
-        self.events.put_nowait(Delivery(sender, payload))
-        self.cluster._progress.set()
-
-    def _on_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:
-        self.views.append(view)
-        self.events.put_nowait(ViewChange(view, transitional))
-        self._unblocked.set()
-        self.cluster._progress.set()
-
-    def crash(self) -> None:
-        self.runner.crash()
-        self._unblocked.set()  # do not leave senders waiting on a corpse
-
-    def recover(self) -> None:
-        self.runner.recover()
-        if not self.runner.blocked:
-            self._unblocked.set()
-
-    async def send(self, payload: Any) -> None:
-        while self.runner.blocked:
-            await self._unblocked.wait()
-        self.runner.app_send(payload)
-        await asyncio.sleep(0)
-
-    async def next_event(self, timeout: float = 5.0) -> Any:
-        return await asyncio.wait_for(self.events.get(), timeout)
-
-    @property
-    def current_view(self) -> View:
-        return self.endpoint.current_view
-
-
-class _ServerPort:
-    """A membership server's own socket endpoint plus send pump."""
-
-    def __init__(
-        self,
-        sid: ProcessId,
-        handler: Callable[[ProcessId, Any], None],
-        core: Optional[LinkCore] = None,
-    ) -> None:
-        self.sid = sid
-        self.transport = TcpTransport(sid, handler, core=core)
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        self._pump_task: Optional[asyncio.Task] = None
-
-    async def start(self) -> Tuple[str, int]:
-        address = await self.transport.start()
-        self._pump_task = asyncio.get_event_loop().create_task(self._pump())
-        return address
-
-    async def _pump(self) -> None:
-        while True:
-            dst, message = await self.outbox.get()
-            await self.transport.send([dst], message)
-            self.outbox.task_done()
-
-    async def stop(self) -> None:
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            await asyncio.gather(self._pump_task, return_exceptions=True)
-        await self.transport.close()
-
-
-class TcpTierLink:
-    """Hosts membership servers on sockets of their own.
-
-    ``transmit`` enqueues on the server port's outbox; the port's
-    :class:`~repro.runtime.tcp.TcpTransport` shares the cluster's
-    :class:`~repro.links.LinkCore`, so every tier frame passes
-    ``outbound()``/``inbound()`` - partition matrix, fault pipeline,
-    dedup and counters - exactly like data traffic.
-    """
-
-    def __init__(self, cluster: "TcpCluster") -> None:
-        self.cluster = cluster
-
-    async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        await self.cluster._attach_server(sid, handler)
-
-    def transmit(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
-        self.cluster._server_ports[src].outbox.put_nowait((dst, message))
-
-
-class TcpCluster:
+class TcpCluster(Cluster):
     """Spin up members on loopback sockets and manage their membership."""
 
     def __init__(
         self,
         *,
-        record_trace: bool = True,
         servers: int = 1,
-        settle_timeout: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
         fastpath: Optional[bool] = None,
     ) -> None:
-        del record_trace  # accepted for compatibility; tracing is unconditional
-        self._fastpath = fastpath
-        self.nodes: Dict[ProcessId, TcpGcsNode] = {}
-        self.trace: GcsTrace = GcsTrace()
-        # One link core shared by every transport of the deployment: one
-        # partition matrix, one fault pipeline, one counter set.
-        self.links = LinkCore(faults=faults)
-        self._settle_timeout = (
-            env_settle_timeout(10.0) if settle_timeout is None else settle_timeout
-        )
-        self._addresses: Dict[ProcessId, Tuple[str, int]] = {}
-        self._server_ports: Dict[ProcessId, _ServerPort] = {}
-        self.tier = MembershipTier(
-            TcpTierLink(self),
-            servers=servers,
-            links=self.links,
-            trace=self.trace,
-            clock=time.monotonic,
-        )
-        self._progress = asyncio.Event()
+        super().__init__(TcpDriver(faults=faults), servers=servers, fastpath=fastpath)
 
-    @property
-    def views_formed(self) -> List[View]:
-        return self.tier.views_formed
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self.links.faults
-
-    def totals(self) -> Dict[str, int]:
-        """Per-kind wire-message counters (uniform across substrates)."""
-        return self.links.totals()
-
-    def reset_counters(self) -> None:
-        self.links.reset_counters()
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-
-    async def _attach_server(
-        self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]
-    ) -> None:
-        port = _ServerPort(sid, handler, core=self.links)
-        self._server_ports[sid] = port
-        self._addresses[sid] = await port.start()
-        self._broadcast_book()
-
-    def _broadcast_book(self) -> None:
-        for node in self.nodes.values():
-            node.transport.set_peers(self._addresses)
-        for port in self._server_ports.values():
-            port.transport.set_peers(self._addresses)
-
-    # ------------------------------------------------------------------
-    # topology management
-    # ------------------------------------------------------------------
-
-    async def add_nodes(self, pids: Iterable[ProcessId]) -> List[TcpGcsNode]:
+    async def add_nodes(self, pids: Iterable[ProcessId]) -> List[AsyncGcsNode]:
         created = []
         for pid in pids:
-            node = TcpGcsNode(pid, self)
-            self.nodes[pid] = node
-            self.tier.add_client(pid)
-            created.append(node)
-        for node in created:
-            self._addresses[node.pid] = await node.start()
-        self._broadcast_book()
+            node = self._new_node(pid)
+            await self.driver.register(pid, node.on_wire)
+            created.append(self._admit(node))
         return created
-
-    async def start(self) -> View:
-        """Activate the membership tier; wait for the all-nodes view."""
-        await self.tier.start()
-        return await self.await_members(frozenset(self.nodes))
-
-    async def reconfigure(
-        self, members: Iterable[ProcessId], timeout: Optional[float] = None
-    ) -> View:
-        member_set = frozenset(members)
-        unknown = member_set - set(self.nodes)
-        if unknown:
-            raise ValueError(f"unknown nodes {sorted(unknown)}")
-        if not self.tier.started:
-            await self.tier.start()
-        self.tier.set_members(member_set)
-        return await self.await_members(member_set, timeout)
-
-    async def await_members(
-        self,
-        member_set: FrozenSet[ProcessId],
-        timeout: Optional[float] = None,
-        *,
-        min_counter: int = 0,
-    ) -> View:
-        """Wait until ``member_set`` share one installed view of themselves.
-
-        ``min_counter`` waits for a *fresh* view (counter at least that
-        high) - server faults re-form a view of unchanged membership, so
-        matching members alone would accept the stale pre-fault view.
-        """
-        if not member_set:
-            raise ValueError("empty member set")
-        members = sorted(member_set)
-
-        def predicate() -> bool:
-            views = [self.nodes[pid].current_view for pid in members]
-            first = views[0]
-            return (
-                first.vid != VID_ZERO
-                and first.vid.counter >= min_counter
-                and first.members == member_set
-                and all(v == first for v in views[1:])
-            )
-
-        await await_settled(
-            predicate,
-            self._progress,
-            timeout=self._settle_timeout if timeout is None else timeout,
-            describe=lambda: "awaiting view %s; %s"
-            % (members, describe_views({p: self.nodes[p] for p in members})),
-        )
-        return self.nodes[members[0]].current_view
-
-    async def quiesce(self, idle: float = 0.08, timeout: Optional[float] = None) -> None:
-        """Wait until the cluster stops making progress.
-
-        Sockets give no global in-flight counter, so quiescence is a
-        bounded stability window: no new trace events and empty outboxes
-        for ``idle`` seconds.  Raises :class:`SettleTimeoutError` when
-        the window never closes within ``timeout`` (default: the
-        ``$REPRO_SETTLE_TIMEOUT``-scaled settle deadline).
-        """
-        if timeout is None:
-            timeout = env_settle_timeout(10.0)
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-
-        def outbox_depth() -> int:
-            depth = sum(node._outbox.qsize() for node in self.nodes.values())
-            return depth + sum(p.outbox.qsize() for p in self._server_ports.values())
-
-        def pending_tier() -> str:
-            # Tier traffic rides the same fabric as data; a stall caused
-            # by membership messages should say so, per server.
-            depths = {
-                str(sid): port.outbox.qsize()
-                for sid, port in sorted(self._server_ports.items())
-                if port.outbox.qsize()
-            }
-            return f"pending tier messages: {depths}" if depths else "no pending tier messages"
-
-        last = (len(self.trace), outbox_depth())
-        last_change = loop.time()
-        while True:
-            await asyncio.sleep(min(idle / 4, 0.02))
-            current = (len(self.trace), outbox_depth())
-            if current != last:
-                last, last_change = current, loop.time()
-            elif current[1] == 0 and loop.time() - last_change >= idle:
-                return
-            if loop.time() >= deadline:
-                raise SettleTimeoutError(
-                    f"TCP cluster still active after {timeout:.1f}s "
-                    f"(trace={current[0]} events, outboxes={current[1]}); "
-                    f"{pending_tier()}; "
-                    f"busiest links: {self.links.stats.describe_links()}"
-                )
-
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-
-    async def partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[View]:
-        """Split the network into components; one view forms per group.
-
-        Emulated on the shared link core's partition matrix: each
-        process only exchanges frames within its own component (its
-        group plus the membership server assigned to it).  The tier cuts
-        the core along ``plan.components`` itself.
-        """
-        groups = [list(group) for group in groups]
-        # Crashed servers hold no partition group: capacity must cover
-        # the groups with *alive* servers (the simulator grows its
-        # tier synchronously; sockets need the explicit await here).
-        await self.tier.ensure_capacity(
-            max(
-                len(groups) + len(self.tier.crashed_servers()),
-                len(self.tier.servers),
-            )
-        )
-        plan = self.tier.plan_partition(groups)
-        self.tier.apply_partition(plan)
-        views = []
-        for group in groups:
-            views.append(await self.await_members(frozenset(group)))
-        return views
-
-    async def heal(self) -> View:
-        """Merge the link core's components; wait for the merged view."""
-        self.tier.heal()  # heals the shared link core too
-        return await self.await_members(self.tier.active_members())
-
-    async def crash(self, pid: ProcessId) -> Optional[View]:
-        """Crash ``pid``; wait for the survivors' view (if any survive)."""
-        self.nodes[pid].crash()
-        self.tier.client_crashed(pid)
-        survivors = self.tier.active_members()
-        if not survivors:
-            return None
-        return await self.await_members(survivors)
-
-    async def recover(self, pid: ProcessId) -> View:
-        """Recover ``pid``; wait for the view re-admitting it."""
-        self.nodes[pid].recover()
-        self.tier.client_recovered(pid)
-        return await self.await_members(self.tier.active_members())
-
-    # ------------------------------------------------------------------
-    # the server fault domain
-    # ------------------------------------------------------------------
-
-    async def server_crash(self, sid: Optional[ProcessId] = None) -> ProcessId:
-        """Crash a membership server; wait for the failover view."""
-        fresh = self.tier.watermark() + 1
-        sid = self.tier.crash_server(sid)
-        members = self.tier.active_members()
-        if members:
-            await self.await_members(members, min_counter=fresh)
-        return sid
-
-    async def server_recover(self, sid: ProcessId) -> View:
-        """Recover a crashed server; wait for its rejoin view."""
-        fresh = self.tier.watermark() + 1
-        self.tier.recover_server(sid)
-        return await self.await_members(self.tier.active_members(), min_counter=fresh)
-
-    async def server_partition(
-        self, groups: Iterable[Iterable[ProcessId]]
-    ) -> List[View]:
-        """Partition the server tier; one view per non-empty component."""
-        fresh = self.tier.watermark() + 1
-        effective = self.tier.partition_servers(groups)
-        views = []
-        for group in effective:
-            members = self.tier.clients_of(group)
-            if members:
-                views.append(await self.await_members(members, min_counter=fresh))
-        return views
-
-    async def close(self) -> None:
-        for node in self.nodes.values():
-            await node.stop()
-        for port in self._server_ports.values():
-            await port.stop()
-
-    def node(self, pid: ProcessId) -> TcpGcsNode:
-        return self.nodes[pid]
-
-    async def __aenter__(self) -> "TcpCluster":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()

@@ -14,7 +14,7 @@ def run(coro):
 
 def test_cluster_initial_view_and_multicast():
     async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
+        async with AsyncCluster() as cluster:
             nodes = cluster.add_nodes(["a", "b", "c"])
             view = await cluster.start()
             assert view.members == {"a", "b", "c"}
@@ -64,7 +64,7 @@ def test_fifo_order_preserved():
 
 def test_reconfigure_blocks_and_unblocks_senders():
     async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
+        async with AsyncCluster() as cluster:
             nodes = cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             await nodes[0].send("before")
@@ -83,7 +83,7 @@ def test_reconfigure_blocks_and_unblocks_senders():
 
 def test_join_after_start():
     async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
+        async with AsyncCluster() as cluster:
             cluster.add_nodes(["a", "b"])
             await cluster.start()
             late = cluster.add_node("late")
@@ -100,7 +100,7 @@ def test_join_after_start():
 
 def test_delayed_hub_still_safe():
     async def scenario():
-        async with AsyncCluster(delay=0.003, record_trace=True) as cluster:
+        async with AsyncCluster(delay=0.003) as cluster:
             nodes = cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             for node in nodes:

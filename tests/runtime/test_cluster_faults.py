@@ -1,15 +1,26 @@
-"""Partition and heal on the asyncio cluster."""
+"""Partition, heal and blocking on both runtime clusters."""
 
 import asyncio
+import inspect
 
 import pytest
 
 from repro.checking import check_all_safety
-from repro.runtime import AsyncCluster, Delivery
+from repro.runtime import AsyncCluster, Delivery, TcpCluster
+
+CLUSTERS = pytest.mark.parametrize(
+    "make_cluster", [AsyncCluster, TcpCluster], ids=["async", "tcp"]
+)
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def add_nodes(cluster, pids):
+    """``add_nodes`` is synchronous on the hub and awaitable on sockets."""
+    nodes = cluster.add_nodes(pids)
+    return await nodes if inspect.isawaitable(nodes) else nodes
 
 
 def drain(node):
@@ -19,10 +30,11 @@ def drain(node):
     return events
 
 
-def test_partition_isolates_islands():
+@CLUSTERS
+def test_partition_isolates_islands(make_cluster):
     async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
-            a, b, c, d = cluster.add_nodes(["a", "b", "c", "d"])
+        async with make_cluster() as cluster:
+            a, b, c, d = await add_nodes(cluster, ["a", "b", "c", "d"])
             await cluster.start()
             views = await cluster.partition([["a", "b"], ["c", "d"]])
             assert views[0].members == {"a", "b"}
@@ -39,10 +51,11 @@ def test_partition_isolates_islands():
     run(scenario())
 
 
-def test_heal_restores_full_group():
+@CLUSTERS
+def test_heal_restores_full_group(make_cluster):
     async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
-            nodes = cluster.add_nodes(["a", "b", "c", "d"])
+        async with make_cluster() as cluster:
+            nodes = await add_nodes(cluster, ["a", "b", "c", "d"])
             await cluster.start()
             await cluster.partition([["a", "b"], ["c", "d"]])
             merged = await cluster.heal()
@@ -57,10 +70,11 @@ def test_heal_restores_full_group():
     run(scenario())
 
 
-def test_transitional_sets_reflect_partition_history():
+@CLUSTERS
+def test_transitional_sets_reflect_partition_history(make_cluster):
     async def scenario():
-        async with AsyncCluster() as cluster:
-            a, b, c, d = cluster.add_nodes(["a", "b", "c", "d"])
+        async with make_cluster() as cluster:
+            a, b, c, d = await add_nodes(cluster, ["a", "b", "c", "d"])
             await cluster.start()
             await cluster.partition([["a", "b"], ["c", "d"]])
             merged = await cluster.heal()
@@ -70,10 +84,11 @@ def test_transitional_sets_reflect_partition_history():
     run(scenario())
 
 
-def test_send_waits_while_blocked():
+@CLUSTERS
+def test_send_waits_while_blocked(make_cluster):
     async def scenario():
-        async with AsyncCluster() as cluster:
-            a, b = cluster.add_nodes(["a", "b"])
+        async with make_cluster() as cluster:
+            a, b = await add_nodes(cluster, ["a", "b"])
             await cluster.start()
             # begin a change but withhold the view, so a is blocked
             cids = {"a": 901, "b": 902}

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultModel
 from repro.checking import check_all_safety
 from repro.runtime.node import Delivery, ViewChange
 from repro.runtime.tcp_cluster import TcpCluster
@@ -24,7 +25,7 @@ async def collect_deliveries(node, count, timeout=5.0):
 
 def test_view_and_multicast_over_sockets():
     async def scenario():
-        async with TcpCluster(record_trace=True) as cluster:
+        async with TcpCluster() as cluster:
             a, b, c = await cluster.add_nodes(["a", "b", "c"])
             view = await cluster.start()
             assert view.members == {"a", "b", "c"}
@@ -51,7 +52,7 @@ def test_fifo_order_over_sockets():
 
 def test_reconfiguration_over_sockets():
     async def scenario():
-        async with TcpCluster(record_trace=True) as cluster:
+        async with TcpCluster() as cluster:
             a, b, c = await cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             await a.send("before")
@@ -74,5 +75,23 @@ def test_view_change_event_over_sockets():
             assert isinstance(event, ViewChange)
             assert event.view == view
             assert event.transitional == {"a"}
+
+    run(scenario())
+
+
+def test_quiesce_waits_for_held_back_frames():
+    """A run the outbox pump has popped but still holds back (injected
+    delay) is in flight: quiesce must not return before it lands."""
+
+    async def scenario():
+        async with TcpCluster() as cluster:
+            a, b = await cluster.add_nodes(["a", "b"])
+            await cluster.start()
+            cluster.links.faults = FaultInjector(
+                FaultModel(delay=1.0, jitter=1.0, seed=3), time_scale=0.3
+            )
+            await a.send("x")
+            await cluster.quiesce()
+            assert ("a", "x") in b.delivered
 
     run(scenario())
