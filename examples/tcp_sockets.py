@@ -22,7 +22,7 @@ async def main() -> None:
 
         await nodes[0].send("routed through the kernel")
         await nodes[1].send("and back")
-        await asyncio.sleep(0.2)
+        await cluster.quiesce()
 
         for node in nodes:
             received = []
@@ -37,7 +37,7 @@ async def main() -> None:
         smaller = await cluster.reconfigure(["athens", "berlin"])
         print(f"\ncairo left: view {smaller.vid} = {sorted(smaller.members)}")
         await nodes[0].send("just two capitals now")
-        await asyncio.sleep(0.2)
+        await cluster.quiesce()
 
         check_all_safety(cluster.trace, list(cluster.nodes))
         print("safety battery passed over real sockets")

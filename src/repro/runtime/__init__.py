@@ -13,7 +13,9 @@ On top of either sit :class:`AsyncGcsNode` (one group member with an
 async send/receive API) and :class:`Cluster` (nodes plus a membership
 tier running the real one-round MBRSHP protocol on the same driver).
 :class:`AsyncCluster` and :class:`TcpCluster` only choose the driver;
-:func:`await_settled` is the event-driven settling both use.
+:func:`await_settled` and the drivers' shared
+:class:`~repro.runtime.settle.InflightLedger` are the event-driven
+settling both use.
 """
 
 from repro.runtime.cluster import AsyncCluster, Cluster, Driver

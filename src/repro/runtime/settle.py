@@ -8,16 +8,22 @@ of those loops: callers hand in a *predicate* and an :class:`asyncio.Event`
 that progress-making code sets, and get either a prompt return or a
 :class:`~repro.errors.SettleTimeoutError` carrying a description of the
 stuck state.
+
+:class:`InflightLedger` is the quiescence half: the exact count of
+messages a driver has accepted and not yet handled, with the one
+``quiesce`` wait both drivers use.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-from typing import Callable, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import SettleTimeoutError
-from repro.types import View
+from repro.links import LinkCore
+from repro.membership.protocol import SERVER_PREFIX
+from repro.types import ProcessId, View
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -88,6 +94,77 @@ async def await_settled(
             pass  # fall through to the deadline check / final predicate try
 
 
+class InflightLedger:
+    """Messages a driver has accepted and not yet handled, counted exactly.
+
+    Every message enters with :meth:`add` when a driver takes it on and
+    leaves with :meth:`release` once its handler has run (or the link
+    has dropped it).  Handlers send synchronously, so a follow-up
+    message is counted before the one that caused it is released: the
+    count reaches zero only when the whole fabric is quiet, and
+    :meth:`quiesce` waits for exactly that on an idle event instead of
+    polling.
+
+    ``pending`` maps a process to its driver-specific backlog (inbox
+    entries on the hub, unfinished sends over TCP); it and ``core``'s
+    per-link counters only feed the timeout diagnostics.
+    """
+
+    def __init__(self, core: LinkCore, pending: Callable[[], Dict[ProcessId, int]]) -> None:
+        self.core = core
+        self.pending = pending
+        self.count = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
+
+    def add(self, n: int = 1) -> None:
+        if not self.count:
+            self._idle.clear()
+        self.count += n
+
+    def release(self, n: int = 1) -> None:
+        self.count -= n
+        if self.count == 0:
+            self._idle.set()
+
+    async def quiesce(self, timeout: Optional[float] = None) -> None:
+        """Wait until nothing is in flight.
+
+        Raises :class:`SettleTimeoutError` instead of hanging if traffic
+        never stops within ``timeout`` seconds (default: the
+        ``$REPRO_SETTLE_TIMEOUT``-scaled settle deadline).
+        """
+        if timeout is None:
+            timeout = settle_timeout(10.0)
+        loop = asyncio.get_event_loop()
+        deadline = loop.time() + timeout
+        while True:
+            # Yield once so a send scheduled in the current task's step
+            # reaches the driver before we sample the counter.
+            await asyncio.sleep(0)
+            if self.count == 0:
+                return
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                raise SettleTimeoutError(self._describe(timeout))
+            try:
+                await asyncio.wait_for(self._idle.wait(), remaining)
+            except asyncio.TimeoutError:
+                pass
+
+    def _describe(self, timeout: float) -> str:
+        pending = {pid: depth for pid, depth in sorted(self.pending().items()) if depth}
+        # Tier traffic rides the same fabric as data; a stall caused by
+        # membership messages should say so, per server.
+        tier = {pid: depth for pid, depth in pending.items() if str(pid).startswith(SERVER_PREFIX)}
+        tier_note = f"pending tier messages: {tier}" if tier else "no pending tier messages"
+        return (
+            f"{self.count} message(s) still in flight after {timeout:.1f}s; "
+            f"pending: {pending}; {tier_note}; "
+            f"busiest links: {self.core.stats.describe_links()}"
+        )
+
+
 def uniform_view(views: Iterable[Optional[View]], members: frozenset) -> bool:
     """True when every given view exists, is shared, and has ``members``."""
     views = list(views)
@@ -112,6 +189,7 @@ def describe_views(nodes: dict) -> str:
 __all__ = [
     "DEFAULT_TIMEOUT",
     "ENV_TIMEOUT",
+    "InflightLedger",
     "await_settled",
     "describe_views",
     "settle_timeout",

@@ -16,6 +16,14 @@ outbox pump per registered process, all sharing one core, so a single
 partition matrix (and a single counter set) covers the whole
 deployment.  A standalone transport creates its own core.
 
+Quiescence over sockets is exact: every end of every connection lives
+in the driver's process, so its
+:class:`~repro.runtime.settle.InflightLedger` counts each outbox entry
+until its run is written and each written wire copy until the receiving
+reader has handled it.  A connection that breaks loses its written but
+unread suffix, and releases that count exactly once (see
+:class:`_Connection`).  A standalone transport keeps no ledger.
+
 Security note: frames are deserialised with :mod:`pickle`, so this
 transport must only be used among mutually trusted processes (it is meant
 for the examples and tests of this reproduction, not a hostile WAN).
@@ -26,25 +34,18 @@ from __future__ import annotations
 import asyncio
 import pickle
 import struct
-import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import SettleTimeoutError, TransportError
+from repro.errors import TransportError
 from repro.links import BatchAccumulator, LinkCore, MessageBatch
-from repro.membership.protocol import SERVER_PREFIX
-from repro.runtime.settle import settle_timeout as env_settle_timeout
+from repro.runtime.settle import InflightLedger
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
 
 _LENGTH = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
-
-# Quiescence over sockets is a stability window (there is no global
-# in-flight count): nothing unfinished, and nothing written for _IDLE seconds.
-_IDLE = 0.08
-_POLL = 0.02
 
 
 def encode_frame(pid: ProcessId, message: Any) -> bytes:
@@ -79,6 +80,59 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[ProcessId, Any]:
     return pickle.loads(body)
 
 
+class _Connection:
+    """The wire copies one socket has carried, shared by both its ends.
+
+    The dialer counts what it writes, the accepting reader what it has
+    handled.  When either end sees the connection break, the written
+    but unread suffix is lost (as CO_RFIFO allows) and leaves the
+    ledger at once; from then on the connection no longer touches it.
+    """
+
+    __slots__ = ("ledger", "written", "read", "dead")
+
+    def __init__(self, ledger: InflightLedger) -> None:
+        self.ledger = ledger
+        self.written = 0
+        self.read = 0
+        self.dead = False
+
+    def wrote(self, n: int) -> None:
+        if not self.dead:
+            self.written += n
+            self.ledger.add(n)
+
+    def handled(self, n: int) -> None:
+        if not self.dead:
+            self.read += n
+            self.ledger.release(n)
+
+    def lost(self) -> None:
+        if not self.dead:
+            self.dead = True
+            self.ledger.release(self.written - self.read)
+
+
+class _Connections:
+    """Pairs the two ends of each in-process connection on one ledger.
+
+    Both ends name a connection by its (dialer, listener) addresses - the
+    dialer's ``sockname``/``peername`` are the acceptor's
+    ``peername``/``sockname`` - and whichever end attaches first creates
+    the shared :class:`_Connection`.
+    """
+
+    def __init__(self, ledger: InflightLedger) -> None:
+        self.ledger = ledger
+        self._unpaired: Dict[Tuple[Any, Any], _Connection] = {}
+
+    def attach(self, key: Tuple[Any, Any]) -> _Connection:
+        conn = self._unpaired.pop(key, None)
+        if conn is None:
+            conn = self._unpaired[key] = _Connection(self.ledger)
+        return conn
+
+
 class TcpTransport:
     """One process's TCP endpoint: listener plus lazy outbound connections."""
 
@@ -102,6 +156,10 @@ class TcpTransport:
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Dict[ProcessId, asyncio.StreamWriter] = {}
         self._reader_tasks: list = []
+        # In-flight accounting, set by a driver; a standalone transport
+        # counts nothing.
+        self.connections: Optional[_Connections] = None
+        self._conns: Dict[ProcessId, _Connection] = {}
         self._closed = False
 
     @property
@@ -176,6 +234,7 @@ class TcpTransport:
             writer = await self._writer_to(dst)
             if writer is None:
                 continue  # unreachable: a suffix is lost, as CO_RFIFO allows
+            conn = self._conns.get(dst)
             batch = BatchAccumulator(self.core, self.pid)
             for message in messages:
                 batch.add(dst, message)
@@ -187,8 +246,12 @@ class TcpTransport:
                         await asyncio.sleep(extra)
                     if isinstance(wire, MessageBatch):
                         writer.write(encode_batch(self.pid, wire.copies))
+                        copies = len(wire.copies)
                     else:
                         writer.write(encode_frame(self.pid, wire))
+                        copies = 1
+                    if conn is not None:
+                        conn.wrote(copies)
                 await writer.drain()
             except (ConnectionError, OSError):
                 self._drop_writer(dst)
@@ -205,12 +268,19 @@ class TcpTransport:
         except (ConnectionError, OSError):
             return None
         self._writers[dst] = writer
+        if self.connections is not None:
+            self._conns[dst] = self.connections.attach(
+                (writer.get_extra_info("sockname"), writer.get_extra_info("peername"))
+            )
         return writer
 
     def _drop_writer(self, dst: ProcessId) -> None:
         writer = self._writers.pop(dst, None)
         if writer is not None:
             writer.close()
+        conn = self._conns.pop(dst, None)
+        if conn is not None:
+            conn.lost()
 
     # ------------------------------------------------------------------
     # receiving
@@ -220,30 +290,41 @@ class TcpTransport:
         task = asyncio.current_task()
         if task is not None:
             self._reader_tasks.append(task)
+        conn = None
+        if self.connections is not None:
+            conn = self.connections.attach(
+                (writer.get_extra_info("peername"), writer.get_extra_info("sockname"))
+            )
         try:
             while not self._closed:
                 src, wire = await read_frame(reader)
-                # The core drops frames that crossed a partition cut
-                # (kernel buffers can hold them past the split) and
-                # deduplicates wire copies.  A batched frame unpacks
-                # through the core too - per-message accounting, atomic
-                # topology check for the whole batch.
-                if isinstance(wire, MessageBatch):
-                    for payload in self.core.inbound_batch(
-                        src, self.pid, wire.copies, check_topology=True
-                    ):
-                        self.handler(src, payload)
-                    continue
-                payload = self.core.inbound(src, self.pid, wire, check_topology=True)
-                if payload is None:
-                    continue
-                self.handler(src, payload)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass  # peer went away: CO_RFIFO may lose the suffix
+                batched = isinstance(wire, MessageBatch)
+                try:
+                    # The core drops frames that crossed a partition cut
+                    # (kernel buffers can hold them past the split) and
+                    # deduplicates wire copies.  A batched frame unpacks
+                    # through the core too - per-message accounting, atomic
+                    # topology check for the whole batch.
+                    if batched:
+                        for payload in self.core.inbound_batch(
+                            src, self.pid, wire.copies, check_topology=True
+                        ):
+                            self.handler(src, payload)
+                    else:
+                        payload = self.core.inbound(src, self.pid, wire, check_topology=True)
+                        if payload is not None:
+                            self.handler(src, payload)
+                finally:
+                    if conn is not None:
+                        conn.handled(len(wire.copies) if batched else 1)
+        except (asyncio.IncompleteReadError, ConnectionError, OSError, TransportError):
+            pass  # peer went away or sent garbage: CO_RFIFO may lose the suffix
         except asyncio.CancelledError:
             pass  # shutdown cancels pending reads; nothing to report
         finally:
             writer.close()
+            if conn is not None:
+                conn.lost()  # nothing more is read: the unread suffix is lost
 
 
 class TcpDriver:
@@ -254,7 +335,8 @@ class TcpDriver:
     servers produce wire messages synchronously, so each process gets an
     outbox pump that writes them to its sockets in order.  All
     transports share one :class:`~repro.links.LinkCore` (one partition
-    matrix, fault pipeline and counter set) and one live address book.
+    matrix, fault pipeline and counter set), one live address book and
+    one :class:`~repro.runtime.settle.InflightLedger`.
     """
 
     def __init__(self, *, faults: Optional[FaultInjector] = None) -> None:
@@ -266,13 +348,15 @@ class TcpDriver:
         # runs that a pump is still sending (or holding back) included.
         self._unfinished: Dict[ProcessId, int] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
-        self._last_write = 0.0  # time.monotonic() when a run last left
+        self.ledger = InflightLedger(self.core, lambda: self._unfinished)
+        self._connections = _Connections(self.ledger)
 
     async def register(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._transports:
             raise ValueError(f"duplicate process {pid!r}")
         transport = TcpTransport(pid, handler, core=self.core)
         transport.peers = self._addresses  # shared, so late joiners are seen
+        transport.connections = self._connections
         self._transports[pid] = transport
         self._outboxes[pid] = asyncio.Queue()
         self._unfinished[pid] = 0
@@ -281,6 +365,7 @@ class TcpDriver:
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
         self._unfinished[src] += 1
+        self.ledger.add()
         self._outboxes[src].put_nowait((targets, message))
 
     async def _pump(self, pid: ProcessId) -> None:
@@ -301,39 +386,25 @@ class TcpDriver:
             await self._write(pid, targets, run)
 
     async def _write(self, pid: ProcessId, targets: Iterable[ProcessId], run: List[Any]) -> None:
-        await self._transports[pid].send_many(targets, run)
-        self._unfinished[pid] -= len(run)
-        self._last_write = time.monotonic()
+        try:
+            await self._transports[pid].send_many(targets, run)
+        finally:
+            # The written frames are counted per connection by now.
+            self._unfinished[pid] -= len(run)
+            self.ledger.release(len(run))
 
     async def quiesce(self) -> None:
-        """Wait until nothing is unfinished and nothing was written for
-        the idle window (a frame on the wire lands well within it).
+        """Wait until no message is in flight anywhere on the driver.
 
-        Raises :class:`SettleTimeoutError` when the window never closes
-        within the ``$REPRO_SETTLE_TIMEOUT``-scaled settle deadline.
+        A message is in flight from :meth:`send` until its outbox run is
+        written (or held back, or dropped by the core), and each written
+        wire copy until the receiver's reader has handled it or its
+        connection broke.  Raises
+        :class:`~repro.errors.SettleTimeoutError` when traffic never
+        stops within the ``$REPRO_SETTLE_TIMEOUT``-scaled settle
+        deadline.
         """
-        timeout = env_settle_timeout(10.0)
-        start = time.monotonic()
-        while True:
-            await asyncio.sleep(_POLL)
-            now = time.monotonic()
-            unfinished = sum(self._unfinished.values())
-            if not unfinished and now - max(start, self._last_write) >= _IDLE:
-                return
-            if now - start >= timeout:
-                # Tier traffic rides the same fabric as data; a stall
-                # caused by membership messages should say so, per server.
-                tier = {
-                    str(pid): depth
-                    for pid, depth in sorted(self._unfinished.items())
-                    if depth and str(pid).startswith(SERVER_PREFIX)
-                }
-                raise SettleTimeoutError(
-                    f"TCP cluster still active after {timeout:.1f}s "
-                    f"({unfinished} unfinished send(s)); "
-                    + (f"pending tier messages: {tier}" if tier else "no pending tier messages")
-                    + f"; busiest links: {self.core.stats.describe_links()}"
-                )
+        await self.ledger.quiesce()
 
     async def close(self) -> None:
         for task in self._pumps.values():

@@ -19,9 +19,8 @@ import asyncio
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import SettleTimeoutError
 from repro.links import BATCH_LIMIT, LinkCore
-from repro.runtime.settle import settle_timeout as env_settle_timeout
+from repro.runtime.settle import InflightLedger
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
@@ -64,12 +63,10 @@ class AsyncHub:
         self._tails: Dict[ProcessId, _InboxEntry] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
         self._closed = False
-        # Messages enqueued but not yet fully handled.  ``_idle`` fires
-        # whenever the count returns to zero, so ``quiesce`` can wait on
-        # an event instead of sleep-polling the queues.
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
+        # Wire copies enqueued but not yet handled.
+        self.ledger = InflightLedger(
+            self.core, lambda: {pid: queue.qsize() for pid, queue in self._queues.items()}
+        )
 
     @property
     def faults(self) -> Optional[FaultInjector]:
@@ -122,8 +119,7 @@ class AsyncHub:
                 self._enqueue(dst, src, wire, extra)
 
     def _enqueue(self, dst: ProcessId, src: ProcessId, wire: Any, extra: float) -> None:
-        self._inflight += 1
-        self._idle.clear()
+        self.ledger.add()
         tail = self._tails.get(dst)
         if (
             tail is not None
@@ -155,9 +151,7 @@ class AsyncHub:
                 for payload in self.core.inbound_batch(entry.src, pid, entry.copies):
                     handler(entry.src, payload)
             finally:
-                self._inflight -= len(entry.copies)
-                if self._inflight == 0:
-                    self._idle.set()
+                self.ledger.release(len(entry.copies))
 
     async def close(self) -> None:
         self._closed = True
@@ -170,50 +164,10 @@ class AsyncHub:
         """Wait until no message is in flight anywhere on the hub.
 
         Handlers may send further messages while handling one; the
-        in-flight counter covers those too, so when it hits zero the
-        fabric is genuinely quiescent.  Raises
-        :class:`SettleTimeoutError` instead of hanging if traffic never
-        stops within ``timeout`` seconds (default: the
+        in-flight ledger covers those too, so when it empties the fabric
+        is genuinely quiescent.  Raises
+        :class:`~repro.errors.SettleTimeoutError` instead of hanging if
+        traffic never stops within ``timeout`` seconds (default: the
         ``$REPRO_SETTLE_TIMEOUT``-scaled settle deadline).
         """
-        if timeout is None:
-            timeout = env_settle_timeout(10.0)
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-        while True:
-            # Yield once so a send scheduled in the current task's step
-            # reaches the pumps before we sample the counter.
-            await asyncio.sleep(0)
-            if self._inflight == 0:
-                return
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                from repro.membership.protocol import SERVER_PREFIX
-
-                pending = {
-                    pid: queue.qsize()
-                    for pid, queue in self._queues.items()
-                    if queue.qsize()
-                }
-                # Tier traffic rides the same hub as data; a stall caused
-                # by membership messages should say so, per server.
-                tier = {
-                    pid: depth
-                    for pid, depth in pending.items()
-                    if str(pid).startswith(SERVER_PREFIX)
-                }
-                tier_note = (
-                    f"pending tier messages: {tier}"
-                    if tier
-                    else "no pending tier messages"
-                )
-                raise SettleTimeoutError(
-                    f"hub still has {self._inflight} message(s) in flight "
-                    f"after {timeout:.1f}s; pending inboxes: {pending}; "
-                    f"{tier_note}; "
-                    f"busiest links: {self.core.stats.describe_links()}"
-                )
-            try:
-                await asyncio.wait_for(self._idle.wait(), remaining)
-            except asyncio.TimeoutError:
-                pass
+        await self.ledger.quiesce(timeout)

@@ -1,6 +1,7 @@
 """End-to-end GCS over real loopback TCP sockets."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -93,5 +94,21 @@ def test_quiesce_waits_for_held_back_frames():
             await a.send("x")
             await cluster.quiesce()
             assert ("a", "x") in b.delivered
+
+    run(scenario())
+
+
+def test_idle_quiesce_returns_at_once():
+    """With nothing in flight there is nothing to wait for: quiesce on a
+    settled cluster costs no stability window."""
+
+    async def scenario():
+        async with TcpCluster() as cluster:
+            await cluster.add_nodes(["a", "b"])
+            await cluster.start()
+            await cluster.quiesce()
+            start = time.perf_counter()
+            await cluster.quiesce()
+            assert time.perf_counter() - start < 0.020
 
     run(scenario())
