@@ -40,6 +40,13 @@ class frozendict(Mapping[K, V]):
     def __len__(self) -> int:
         return len(self._data)
 
+    def __eq__(self, other: object) -> bool:
+        # Compare the backing dicts in C; the inherited Mapping.__eq__
+        # rebuilds both sides through Python-level __iter__/__getitem__.
+        if isinstance(other, frozendict):
+            return self._data == other._data
+        return super().__eq__(other)
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(frozenset(self._data.items()))

@@ -48,7 +48,6 @@ from repro.checking.properties import (
     check_self_inclusion,
     check_transitional_sets,
     check_virtual_synchrony,
-    replay_into_spec,
 )
 from repro.checking.refinement import (
     SafetyRefinementChecker,
@@ -105,6 +104,5 @@ __all__ = [
     "check_virtual_synchrony",
     "extract_skeleton",
     "invariant_hook",
-    "replay_into_spec",
     "run_verdict",
 ]

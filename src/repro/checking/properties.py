@@ -30,13 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.checking.codes import DEFAULT_CODES, SAFETY_CODES
-from repro.checking.events import (
-    DeliverEvent,
-    GcsTrace,
-    RecoverEvent,
-    SendEvent,
-    ViewEvent,
-)
+from repro.checking.events import GcsTrace
 from repro.checking.refinement import TraceSkeleton
 from repro.checking.verdict import (
     GoldenSkeletonRule,
@@ -51,21 +45,11 @@ from repro.checking.verdict import (
     Verdict,
     VirtualSynchronyRule,
     first_violation,
-    infer_set_cut,
     mbrshp_processes,
-    reset_recovered_process,
     run_verdict,
 )
-from repro.errors import ActionNotEnabled, SpecificationViolation
-from repro.ioa import Action
-from repro.spec.vs_rfifo import FullSafetySpec
-from repro.spec.wv_rfifo import WvRfifoSpec
+from repro.errors import SpecificationViolation
 from repro.types import ProcessId, View
-
-# Back-compat aliases: these helpers started here and moved to the
-# verdict module so the engine and the wrappers share one copy.
-_infer_set_cut = infer_set_cut
-_reset_recovered_process = reset_recovered_process
 
 
 def _check_rule(trace: GcsTrace, rule: TraceRule) -> None:
@@ -108,36 +92,6 @@ def check_mbrshp_conformance(
     to the same standard as the simulator's.
     """
     _check_rule(trace, MbrshpConformanceRule(mbrshp_processes(trace, processes)))
-
-
-# ----------------------------------------------------------------------
-# Replay through the executable specification stack
-# ----------------------------------------------------------------------
-
-
-def replay_into_spec(trace: GcsTrace, spec: WvRfifoSpec) -> None:
-    """Replay external GCS events through a WV_RFIFO-family spec automaton.
-
-    Raises if any event corresponds to a disabled spec step, i.e. if the
-    trace is not a trace of the specification.
-    """
-    infer_cuts = isinstance(spec, FullSafetySpec) or hasattr(spec, "cut")
-    for event in trace:
-        try:
-            if isinstance(event, SendEvent):
-                spec.apply(Action("send", (event.proc, event.payload)))
-            elif isinstance(event, DeliverEvent):
-                spec.apply(Action("deliver", (event.proc, event.sender, event.payload)))
-            elif isinstance(event, ViewEvent):
-                if infer_cuts:
-                    infer_set_cut(spec, event)
-                spec.apply(Action("view", (event.proc, event.view, event.transitional)))
-            elif isinstance(event, RecoverEvent):
-                reset_recovered_process(spec, event.proc)
-        except ActionNotEnabled as exc:
-            raise SpecificationViolation(
-                f"trace not accepted by {type(spec).__name__}: {exc}"
-            ) from exc
 
 
 def check_safety_spec(trace: GcsTrace, processes: Optional[Iterable[ProcessId]] = None) -> None:

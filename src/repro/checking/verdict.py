@@ -16,7 +16,12 @@ prefix violates them, only the completed run does.
 
 Each rule is an incremental object fed ``(index, event)`` pairs; a rule
 retires at its first violation, so its reported witness is minimal by
-construction.  Violations are ordered by the deterministic key of
+construction.  Rules are routed by event type: a rule declares in
+``EVENTS`` the event classes its ``feed`` reads, and the engine feeds it
+only those (the default, ``(GcsEvent,)``, means every event).  The
+route for each concrete event type is built on first sight and dropped
+whenever a rule retires, so routing never changes what a rule sees.
+Violations are ordered by the deterministic key of
 :func:`repro.checking.codes.violation_sort_key` and the verdict
 serialises to canonical JSON - two runs over the same trace are
 byte-identical.
@@ -129,9 +134,15 @@ class TraceRule:
     ``trace[0..index]`` violates it (the engine then retires the rule, so
     the reported witness is the minimal one); ``finish`` reports
     violations only a completed run can exhibit.
+
+    ``EVENTS`` is the rule-author contract with the engine: it must list
+    every event class ``feed`` reads, because :func:`run_verdict` feeds
+    the rule only events that are instances of one of them.  The default
+    ``(GcsEvent,)`` means every event.
     """
 
     code: str = ""
+    EVENTS: Tuple[type, ...] = (GcsEvent,)
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
         return None
@@ -147,6 +158,7 @@ class SelfInclusionRule(TraceRule):
     """Section 3.1: every view delivered to p includes p."""
 
     code = "VS-SELF-INCL"
+    EVENTS = (ViewEvent, MbrshpViewEvent)
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
         if isinstance(event, (ViewEvent, MbrshpViewEvent)):
@@ -162,6 +174,7 @@ class MonotonicityRule(TraceRule):
     """Section 3.1: view identifiers at each process strictly increase."""
 
     code = "VS-MONO"
+    EVENTS = (ViewEvent, MbrshpViewEvent)
 
     def __init__(self) -> None:
         self._last: Dict[Tuple[ProcessId, type], View] = {}
@@ -184,6 +197,7 @@ class SelfDeliveryRule(TraceRule):
     """Figure 7: before each view change, p delivered everything it sent."""
 
     code = "VS-SELF-DLV"
+    EVENTS = (CrashEvent, SendEvent, DeliverEvent, ViewEvent)
 
     def __init__(self) -> None:
         self._sent: Dict[ProcessId, int] = defaultdict(int)
@@ -221,6 +235,7 @@ class VirtualSynchronyRule(TraceRule):
     """
 
     code = "VS-VSYNC"
+    EVENTS = (RecoverEvent, DeliverEvent, ViewEvent)
 
     def __init__(self) -> None:
         self._agreed: Dict[Tuple[View, View], Tuple[Dict[ProcessId, int], ProcessId]] = {}
@@ -271,6 +286,7 @@ class TransSetRule(TraceRule):
     """
 
     code = "VS-TRANS-SET"
+    EVENTS = (RecoverEvent, ViewEvent)
 
     def __init__(self) -> None:
         self._current: Dict[ProcessId, View] = {}
@@ -328,6 +344,7 @@ class SpecRefinementRule(TraceRule):
     """Trace inclusion in WV_RFIFO + VS_RFIFO + SELF (Figures 4, 5, 7)."""
 
     code = "VS-SPEC-REFINE"
+    EVENTS = (SendEvent, DeliverEvent, ViewEvent, RecoverEvent)
 
     def __init__(self, processes: Tuple[ProcessId, ...]) -> None:
         self._spec = FullSafetySpec(processes)
@@ -358,6 +375,7 @@ class MbrshpConformanceRule(TraceRule):
     """Figure 2: the membership notices are a behaviour of MBRSHP."""
 
     code = "MBRSHP-CONF"
+    EVENTS = (MbrshpStartChangeEvent, MbrshpViewEvent, CrashEvent, RecoverEvent)
 
     def __init__(self, processes: Iterable[ProcessId]) -> None:
         procs = sorted(set(processes))
@@ -397,6 +415,7 @@ class ServerForkRule(TraceRule):
     """
 
     code = "MBRSHP-SRV-FORK"
+    EVENTS = (ViewEvent, MbrshpViewEvent, MbrshpFormEvent)
 
     def __init__(self) -> None:
         self._by_vid: Dict[Any, View] = {}
@@ -433,6 +452,7 @@ class ServerCounterMonotonicityRule(TraceRule):
     """
 
     code = "MBRSHP-SRV-MONO"
+    EVENTS = (MbrshpFormEvent,)
 
     def __init__(self) -> None:
         self._issued: Dict[str, int] = {}
@@ -463,6 +483,7 @@ class LivenessRule(TraceRule):
     """
 
     code = "VS-LIVE"
+    EVENTS = (RecoverEvent, ViewEvent, SendEvent, DeliverEvent)
 
     def __init__(self, final_view: View) -> None:
         self._final = final_view
@@ -528,7 +549,7 @@ class GoldenSkeletonRule(TraceRule):
 
 
 # ----------------------------------------------------------------------
-# Spec-replay helpers (shared with repro.checking.properties)
+# Spec-replay helpers
 # ----------------------------------------------------------------------
 
 
@@ -629,11 +650,12 @@ def run_verdict(
 ) -> Verdict:
     """One pass of every selected rule over ``trace``; the full verdict.
 
-    ``include`` selects the rule set (default :data:`DEFAULT_CODES`);
-    giving ``final_view`` adds VS-LIVE and ``golden`` adds VS-SKEL.  Each
-    rule contributes at most one violation - its earliest - and the
-    result is deterministically ordered and byte-stable under
-    :meth:`Verdict.to_json`.
+    Each event is fed only to the live rules whose ``EVENTS`` cover its
+    type (see :class:`TraceRule`).  ``include`` selects the rule set
+    (default :data:`DEFAULT_CODES`); giving ``final_view`` adds VS-LIVE
+    and ``golden`` adds VS-SKEL.  Each rule contributes at most one
+    violation - its earliest - and the result is deterministically
+    ordered and byte-stable under :meth:`Verdict.to_json`.
     """
     codes = list(include) if include is not None else list(DEFAULT_CODES)
     if final_view is not None and "VS-LIVE" not in codes:
@@ -651,20 +673,23 @@ def run_verdict(
     if "VS-SKEL" in codes and golden is None:
         raise ValueError("VS-SKEL requires a golden skeleton")
 
-    rules = _build_rules(tuple(codes), trace, processes, final_view, golden)
+    active = _build_rules(tuple(codes), trace, processes, final_view, golden)
     violations: List[Violation] = []
-    active = list(rules)
-    for index, event in enumerate(trace):
+    # concrete event type -> the live rules whose EVENTS cover it
+    routes: Dict[type, List[TraceRule]] = {}
+    for index, event in enumerate(trace.events):
+        kind = type(event)
+        route = routes.get(kind)
+        if route is None:
+            route = routes[kind] = [r for r in active if issubclass(kind, r.EVENTS)]
+        for rule in route:
+            violation = rule.feed(index, event)
+            if violation is not None:
+                violations.append(violation)  # the rule retires: witness is minimal
+                active.remove(rule)
+                routes.clear()
         if not active:
             break
-        survivors = []
-        for rule in active:
-            violation = rule.feed(index, event)
-            if violation is None:
-                survivors.append(rule)
-            else:
-                violations.append(violation)  # the rule retires: witness is minimal
-        active = survivors
     for rule in active:
         violation = rule.finish(len(trace))
         if violation is not None:

@@ -366,28 +366,27 @@ class Automaton:
             raise UnknownAction(f"{self.name}: unknown action {action.name!r}")
         if kind is ActionKind.INPUT:
             return True  # input actions are enabled in every state
-        params = action.params
-        for fn, projection in self._compiled_for(action.name).pre_chain:
+        return self._pre_holds(self._compiled_for(action.name), action.params)
+
+    def _pre_holds(self, compiled: CompiledAction, params: Tuple) -> bool:
+        for fn, projection in compiled.pre_chain:
             if fn is not None and not fn(self, *params):
                 return False
             if projection is not None:
                 params = tuple(projection(*params))
         return True
 
-    def _run_effects(self, action: Action) -> None:
+    def _run_effects(self, compiled: CompiledAction, action: Action) -> None:
         params = action.params
-        if self.strict:
-            for fn, klass, projection in self._compiled_for(action.name).eff_chain:
-                if fn is not None:
+        strict = self.strict
+        for fn, klass, projection in compiled.eff_chain:
+            if fn is not None:
+                if strict:
                     self._run_strict_effect(fn, klass, action, params)
-                if projection is not None:
-                    params = tuple(projection(*params))
-        else:
-            for fn, _klass, projection in self._compiled_for(action.name).eff_chain:
-                if fn is not None:
+                else:
                     fn(self, *params)
-                if projection is not None:
-                    params = tuple(projection(*params))
+            if projection is not None:
+                params = tuple(projection(*params))
 
     def _run_strict_effect(
         self, fn: Callable, klass: Type["Automaton"], action: Action, params: Tuple
@@ -440,11 +439,16 @@ class Automaton:
         return self.precondition(action)
 
     def apply(self, action: Action) -> None:
-        """Take a step with ``action``, executing its effects atomically."""
+        """Take a step with ``action``, executing its effects atomically.
+
+        The signature kind and the compiled chain are looked up once and
+        shared by the precondition and the effects.
+        """
         kind = self.kind_of(action.name)
-        if kind is not ActionKind.INPUT and not self.precondition(action):
+        compiled = self._compiled_for(action.name)
+        if kind is not ActionKind.INPUT and not self._pre_holds(compiled, action.params):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
-        self._run_effects(action)
+        self._run_effects(compiled, action)
         self._state_version += 1
         for observer in self._version_observers:
             observer()
@@ -472,18 +476,9 @@ class Automaton:
             candidates = compiled.candidates
             if candidates is None:
                 continue
-            pre_chain = compiled.pre_chain
             for raw in candidates(self):
                 params = tuple(raw)
-                level_params = params
-                satisfied = True
-                for fn, projection in pre_chain:
-                    if fn is not None and not fn(self, *level_params):
-                        satisfied = False
-                        break
-                    if projection is not None:
-                        level_params = tuple(projection(*level_params))
-                if satisfied:
+                if self._pre_holds(compiled, params):
                     enabled.append(Action(name, params))
         return enabled
 

@@ -135,6 +135,40 @@ class TestTransitions:
         assert not Counter().is_enabled(Action("bogus", ()))
 
 
+class TestApplyContract:
+    """``apply`` looks the action up once; its errors and bumps are fixed."""
+
+    def test_unknown_action_text(self):
+        with pytest.raises(UnknownAction) as info:
+            Counter().apply(Action("nope", ()))
+        assert str(info.value) == "counter: unknown action 'nope'"
+
+    def test_disabled_action_text(self):
+        # The text is embedded in VS-SPEC-REFINE verdict messages.
+        with pytest.raises(ActionNotEnabled) as info:
+            Counter(limit=1).apply(Action("inc", (5,)))
+        assert str(info.value) == "counter: inc(5) is not enabled"
+        with pytest.raises(ActionNotEnabled) as info:
+            EvenCounter().apply(Action("inc", (1, "odd")))
+        assert str(info.value) == "counter: inc(1, 'odd') is not enabled"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_observers_fire_once_per_apply(self, strict):
+        child = EvenCounter(strict=strict)
+        fired = []
+        child.subscribe_version(lambda: fired.append(child.state_version))
+        child.apply(Action("inc", (2, "n")))  # output, with projection
+        child.apply(Action("poke", ()))  # input
+        child.apply(Action("reset", ()))  # internal, child-only
+        assert fired == [1, 2, 3]
+        assert (child.value, child.pokes, child.notes) == (2, 1, ["n", "reset"])
+        with pytest.raises(ActionNotEnabled):
+            child.apply(Action("inc", (1, "odd")))
+        with pytest.raises(UnknownAction):
+            child.apply(Action("nope", ()))
+        assert fired == [1, 2, 3]  # a rejected step bumps nothing
+
+
 class TestInheritance:
     def test_child_preconditions_are_conjoined(self):
         child = EvenCounter()

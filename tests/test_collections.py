@@ -24,6 +24,22 @@ class TestFrozendict:
     def test_equal_to_plain_mapping(self):
         assert frozendict({"x": 1}) == {"x": 1}
 
+    def test_plain_mapping_equal_reflected(self):
+        assert {"x": 1} == frozendict({"x": 1})
+
+    def test_not_equal_both_directions(self):
+        assert frozendict({"x": 1}) != frozendict({"x": 2})
+        assert frozendict({"x": 2}) != frozendict({"x": 1})
+        assert frozendict({"x": 1}) != {"x": 2}
+        assert {"x": 2} != frozendict({"x": 1})
+        assert not frozendict({"x": 1}) != frozendict({"x": 1})
+        assert not {"x": 1} != frozendict({"x": 1})
+
+    def test_equal_to_non_mapping_is_false(self):
+        assert (frozendict({"x": 1}) == 1) is False
+        assert (frozendict({"x": 1}) != 1) is True
+        assert (frozendict() == ()) is False
+
     def test_hash_consistent_with_equality(self):
         assert hash(frozendict({"a": 1, "b": 2})) == hash(frozendict({"b": 2, "a": 1}))
 

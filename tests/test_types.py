@@ -1,5 +1,7 @@
 """Unit tests for the core value types (Section 3)."""
 
+import pickle
+
 import pytest
 
 from repro._collections import frozendict
@@ -54,6 +56,23 @@ class TestView:
         v3 = make_view(1, ["a", "b"], {"a": 1, "b": 2})
         assert v1 == v2
         assert v1 != v3
+
+    def test_equal_to_unpickled_copy(self):
+        # Views decoded from the wire are equal but distinct objects.
+        view = make_view(3, ["a", "b"], {"a": 1, "b": 2}, origin="srv:0")
+        copy = pickle.loads(pickle.dumps(view))
+        assert copy is not view
+        assert copy.start_ids is not view.start_ids
+        assert copy == view and view == copy
+        assert not copy != view
+        assert hash(copy) == hash(view)
+
+    def test_views_differing_only_in_start_ids_are_unequal(self):
+        v1 = make_view(2, ["a", "b"], {"a": 1, "b": 1})
+        v2 = make_view(2, ["a", "b"], {"a": 1, "b": 3})
+        assert v1.vid == v2.vid and v1.members == v2.members
+        assert v1 != v2 and v2 != v1
+        assert not v1 == v2
 
     def test_views_are_hashable_dict_keys(self):
         v1 = make_view(1, ["a"], {"a": 1})
