@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from repro.checking.events import DeliverEvent, MbrshpViewEvent, SendEvent, ViewEvent
 from repro.checking.properties import check_all_safety
 from repro.net import ConstantLatency, SimWorld
-from repro.net.hierarchy import TwoTierOverlay, balanced_groups
+from repro.scale import TwoTierOverlay, balanced_groups
 from repro.order import CausalOrderNode, TotalOrderNode
 
 
@@ -47,7 +47,12 @@ def measure_two_tier(
     pids = [f"p{i:02d}" for i in range(group_size)]
     nodes = world.add_nodes(pids)
     if leaders:
-        TwoTierOverlay(world, balanced_groups(pids, leaders))
+        TwoTierOverlay(
+            {pid: node.runner for pid, node in world.nodes.items()},
+            world.clock.schedule,
+            balanced_groups(pids, leaders),
+            connected=world.links.connected,
+        )
     world.start()
     world.run()
     for node in nodes:

@@ -2,15 +2,17 @@
 
 Two implementations of the Figure 2 interface:
 
-* :class:`~repro.membership.server.MembershipServer` - dedicated
-  membership servers in the client-server architecture of [27], with a
-  one-round (common case) inter-server agreement and a topology-driven
-  failure detector;
+* :class:`~repro.membership.tier.MembershipTier` - a tier of dedicated
+  :class:`~repro.membership.server.MembershipServer` processes, the
+  client-server architecture of [27], with a one-round (common case)
+  inter-server agreement, a durable watermark store and crashable
+  servers.  The simulator, asyncio and TCP substrates all run it over a
+  :class:`~repro.membership.tier.TierLink`;
 * :class:`~repro.membership.oracle.OracleMembership` - a centralized
-  oracle with scripted timing, for controlled experiments.
+  oracle with scripted timing, for controlled experiments (each shard of
+  :class:`repro.scale.sharding.ShardedMembershipTier` is one, too).
 """
 
-from repro.membership.failure_detector import TopologyFailureDetector
 from repro.membership.oracle import OracleMembership
 from repro.membership.protocol import (
     SERVER_PREFIX,
@@ -31,7 +33,6 @@ __all__ = [
     "ServerProposal",
     "StartChangeNotice",
     "TierLink",
-    "TopologyFailureDetector",
     "ViewNotice",
     "server_id",
 ]

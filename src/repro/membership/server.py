@@ -233,12 +233,6 @@ class MembershipServer:
         if self.active:
             self.begin_round(self.round + 1)
 
-    def add_client(self, client: ProcessId) -> None:
-        self.update_clients(add=(client,))
-
-    def remove_client(self, client: ProcessId) -> None:
-        self.update_clients(remove=(client,))
-
     def update_clients(
         self,
         add: Iterable[ProcessId] = (),

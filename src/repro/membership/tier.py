@@ -15,8 +15,7 @@ coordinator: the runtime ``Cluster`` hosts every server as one more
 process of its driver (an ``AsyncHub`` inbox or a socket of its own).
 
 Topology input (who can reach whom among servers) is injected by the
-deployment when it partitions or heals its transport - the tier-side
-analogue of the simulator's topology failure detector.
+deployment when it partitions or heals its transport.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ reproduce the paper's message-cost claims, and the legacy ``sent`` /
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.links import BATCH_LIMIT, Link, LinkCore, kind_of
@@ -116,9 +116,6 @@ class SimNetwork:
 
     def connected(self, p: ProcessId, q: ProcessId) -> bool:
         return self.core.connected(p, q)
-
-    def reachable_from(self, p: ProcessId) -> Set[ProcessId]:
-        return self.core.reachable_from(p)
 
     def partition(self, groups: Iterable[Iterable[ProcessId]]) -> None:
         """Split the network; unmentioned processes join group 0."""

@@ -10,10 +10,11 @@ supplies the server side at scale:
 * :class:`GroupShardMap` - a consistent group -> shard mapping
   (highest-random-weight over ``crc32``, so it is a pure deterministic
   function of the group name and the shard count, stable under resizes);
-* :class:`MembershipShard` - one membership server serving many groups,
-  with the oracle's Figure 2 discipline (fresh increasing cids, a
-  start_change before every view, cancellation of superseded notices)
-  and *seedable* counters;
+* :class:`MembershipShard` - one membership server serving many groups:
+  an :class:`~repro.membership.oracle.OracleMembership` (the Figure 2
+  discipline - fresh increasing cids, a start_change before every view,
+  cancellation of superseded notices - with *seedable* counters) plus
+  the set of groups it owns;
 * :class:`ShardedMembershipTier` - the tier: routes every group
   operation to the owning shard only, fans a process crash out to
   exactly the shards owning one of its groups, and - when the tier is
@@ -26,16 +27,12 @@ supplies the server side at scale:
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro._collections import frozendict
-from repro.types import ProcessId, StartChangeId, View, ViewId
+from repro.membership.oracle import OracleMembership, StartChangeSink, ViewSink
+from repro.types import ProcessId, View
 
 GroupName = str
-
-# Client-side hooks, per (group, process): (cid, members) and (view).
-StartChangeSink = Callable[[StartChangeId, FrozenSet[ProcessId]], None]
-ViewSink = Callable[[View], None]
 
 
 class GroupShardMap:
@@ -77,38 +74,14 @@ class GroupShardMap:
         return {group: self.shard_of(group) for group in groups}
 
 
-class _SeededCounter:
-    """A monotone counter whose floor can be raised (watermark seeding)."""
-
-    __slots__ = ("next_value",)
-
-    def __init__(self, start: int = 1) -> None:
-        self.next_value = start
-
-    def __next__(self) -> int:
-        value = self.next_value
-        self.next_value = value + 1
-        return value
-
-    def seed(self, floor: int) -> None:
-        """Ensure every future value exceeds ``floor``."""
-        if floor >= self.next_value:
-            self.next_value = floor + 1
-
-    @property
-    def last(self) -> int:
-        return self.next_value - 1
-
-
 class MembershipShard:
     """One membership server of a sharded tier, serving many groups.
 
-    Scheduling mirrors :class:`~repro.membership.oracle.OracleMembership`
-    (start_change after ``detection_delay``, view after a further
-    ``round_duration``, superseded notices cancelled), but all registries
-    are keyed per ``(group, pid)`` end-point and both counters are
-    :class:`_SeededCounter` instances, so a group arriving from another
-    shard can raise the floors above its old watermarks.
+    The notice discipline is the oracle's: a shard is one
+    :class:`~repro.membership.oracle.OracleMembership` whose clients
+    attach per ``(group, pid)`` end-point and whose seedable counters let
+    a group arriving from another shard raise the floors above its old
+    watermarks.  The shard itself only tracks which groups it owns.
     """
 
     def __init__(
@@ -117,23 +90,24 @@ class MembershipShard:
         clock,
         crashed: Set[ProcessId],
         *,
-        detection_delay: float = 0.0,
         round_duration: float = 1.0,
     ) -> None:
         self.index = index
-        self.clock = clock
-        self.detection_delay = detection_delay
-        self.round_duration = round_duration
         # Shared with the tier: a crash is a process-level fact, visible
         # to every shard serving one of the process's groups.
         self._crashed = crashed
-        self._cid = _SeededCounter()
-        self._counter = _SeededCounter()
+        # The origin component records provenance; ordering is carried by
+        # the counter alone (watermark seeding keeps it strictly
+        # increasing per group, even across shard moves).
+        self.oracle = OracleMembership(
+            clock, round_duration=round_duration, origin=f"s{index}", crashed=crashed
+        )
         self.groups: Set[GroupName] = set()
-        self._sinks: Dict[Tuple[GroupName, ProcessId], Tuple[StartChangeSink, ViewSink]] = {}
-        self._pending: Dict[Tuple[GroupName, ProcessId], List] = {}
         self._group_views: Dict[GroupName, View] = {}
-        self.views_formed: List[View] = []
+
+    @property
+    def views_formed(self) -> List[View]:
+        return self.oracle.views_formed
 
     # ------------------------------------------------------------------
     # group ownership
@@ -142,8 +116,7 @@ class MembershipShard:
     def adopt(self, group: GroupName, *, cid_floor: int = 0, counter_floor: int = 0) -> None:
         """Take ownership of ``group``, with its predecessor's watermarks."""
         self.groups.add(group)
-        self._cid.seed(cid_floor)
-        self._counter.seed(counter_floor)
+        self.oracle.seed(cid_floor, counter_floor)
 
     def release(self, group: GroupName) -> Tuple[int, int]:
         """Drop ``group``; return the ``(cid, counter)`` watermarks.
@@ -152,16 +125,12 @@ class MembershipShard:
         speak for a group it no longer owns.
         """
         self.groups.discard(group)
-        for key in [key for key in self._pending if key[0] == group]:
-            for event in self._pending.pop(key, []):
-                event.cancel()
-        for key in [key for key in self._sinks if key[0] == group]:
-            del self._sinks[key]
+        self.oracle.forget(group)
         self._group_views.pop(group, None)
-        return (self._cid.last, self._counter.last)
+        return self.watermarks()
 
     def watermarks(self) -> Tuple[int, int]:
-        return (self._cid.last, self._counter.last)
+        return self.oracle.watermarks()
 
     # ------------------------------------------------------------------
     # clients and reconfiguration
@@ -174,7 +143,7 @@ class MembershipShard:
         on_start_change: StartChangeSink,
         on_view: ViewSink,
     ) -> None:
-        self._sinks[(group, pid)] = (on_start_change, on_view)
+        self.oracle.attach_client(pid, on_start_change, on_view, group=group)
 
     def group_view(self, group: GroupName) -> Optional[View]:
         return self._group_views.get(group)
@@ -183,67 +152,10 @@ class MembershipShard:
         """Form the next view of ``group``; notices are scheduled."""
         if group not in self.groups:
             raise ValueError(f"shard {self.index} does not own group {group!r}")
-        member_set = frozenset(members) - self._crashed
-        if not member_set:
-            return None
-        detect = self.detection_delay
-        round_end = detect + self.round_duration
-        for pid in member_set:
-            self._cancel_pending(group, pid)
-        cids: Dict[ProcessId, StartChangeId] = {}
-        for pid in sorted(member_set):
-            cids[pid] = next(self._cid)
-        # The origin component records provenance; ordering is carried by
-        # the counter alone (watermark seeding keeps it strictly
-        # increasing per group, even across shard moves).
-        view = View(
-            ViewId(next(self._counter), f"s{self.index}"),
-            member_set,
-            frozendict(cids),
-        )
-        self._group_views[group] = view
-        self.views_formed.append(view)
-        for pid in sorted(member_set):
-            self._schedule_start_change(group, pid, detect, cids[pid], member_set)
-            self._schedule_view(group, pid, round_end, view)
+        view = self.oracle.form(members, group=group)
+        if view is not None:
+            self._group_views[group] = view
         return view
-
-    # ------------------------------------------------------------------
-    # scheduling (the oracle's cancellable-notice discipline)
-    # ------------------------------------------------------------------
-
-    def _cancel_pending(self, group: GroupName, pid: ProcessId) -> None:
-        for event in self._pending.pop((group, pid), []):
-            event.cancel()
-
-    def _schedule_start_change(
-        self,
-        group: GroupName,
-        pid: ProcessId,
-        delay: float,
-        cid: StartChangeId,
-        members: FrozenSet[ProcessId],
-    ) -> None:
-        def fire() -> None:
-            if pid in self._crashed:
-                return
-            sink = self._sinks.get((group, pid))
-            if sink is not None:
-                sink[0](cid, members)
-
-        event = self.clock.schedule(delay, fire)
-        self._pending.setdefault((group, pid), []).append(event)
-
-    def _schedule_view(self, group: GroupName, pid: ProcessId, delay: float, view: View) -> None:
-        def fire() -> None:
-            if pid in self._crashed:
-                return
-            sink = self._sinks.get((group, pid))
-            if sink is not None:
-                sink[1](view)
-
-        event = self.clock.schedule(delay, fire)
-        self._pending.setdefault((group, pid), []).append(event)
 
     def __repr__(self) -> str:
         return (
@@ -265,11 +177,9 @@ class ShardedMembershipTier:
         clock,
         *,
         shards: int = 1,
-        detection_delay: float = 0.0,
         round_duration: float = 1.0,
     ) -> None:
         self.clock = clock
-        self.detection_delay = detection_delay
         self.round_duration = round_duration
         self._crashed: Set[ProcessId] = set()
         self.map = GroupShardMap(shards)
@@ -292,11 +202,7 @@ class ShardedMembershipTier:
 
     def _make_shard(self, index: int) -> MembershipShard:
         return MembershipShard(
-            index,
-            self.clock,
-            self._crashed,
-            detection_delay=self.detection_delay,
-            round_duration=self.round_duration,
+            index, self.clock, self._crashed, round_duration=self.round_duration
         )
 
     # ------------------------------------------------------------------
@@ -390,25 +296,21 @@ class ShardedMembershipTier:
     # process-level events (fan out to owning shards only)
     # ------------------------------------------------------------------
 
-    def client_crashed(self, pid: ProcessId, *, reconfigure: bool = True) -> List[View]:
+    def client_crashed(self, pid: ProcessId) -> List[View]:
         """Mark ``pid`` crashed; reconfigure exactly its groups' shards."""
         self._crashed.add(pid)
-        views: List[View] = []
-        if reconfigure:
-            for group in sorted(self._groups_of.get(pid, ())):
-                view = self.reconfigure_group(group)
-                if view is not None:
-                    views.append(view)
-        return views
+        return self._reconfigure_groups_of(pid)
 
-    def client_recovered(self, pid: ProcessId, *, reconfigure: bool = True) -> List[View]:
+    def client_recovered(self, pid: ProcessId) -> List[View]:
         self._crashed.discard(pid)
+        return self._reconfigure_groups_of(pid)
+
+    def _reconfigure_groups_of(self, pid: ProcessId) -> List[View]:
         views: List[View] = []
-        if reconfigure:
-            for group in sorted(self._groups_of.get(pid, ())):
-                view = self.reconfigure_group(group)
-                if view is not None:
-                    views.append(view)
+        for group in sorted(self._groups_of.get(pid, ())):
+            view = self.reconfigure_group(group)
+            if view is not None:
+                views.append(view)
         return views
 
     # ------------------------------------------------------------------

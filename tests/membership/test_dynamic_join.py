@@ -3,7 +3,8 @@
 The paper highlights that its interface lets the membership add new
 processes *while reconfiguring* (a fresh start_change suffices) - no
 completed-then-redone view. These tests exercise joins at awkward times
-in both membership modes.
+in both membership modes; under the server tier a join is a
+``set_members`` call that adds the newcomer.
 """
 
 import pytest
@@ -61,11 +62,12 @@ class TestOracleModeJoins:
 
 class TestServerModeJoins:
     def test_join_through_server(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
         world.add_nodes(["a", "b", "c"])
         world.start()
         world.run(max_events=300_000)
-        late = world.add_node("late")
+        world.add_node("late")
+        assert world.set_members(world.nodes)
         world.run(max_events=300_000)
         views = {node.current_view for node in world.nodes.values()}
         assert len(views) == 1
@@ -73,12 +75,13 @@ class TestServerModeJoins:
         check_all_safety(world.trace, list(world.nodes))
 
     def test_multiple_staggered_joins(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
         world.add_nodes(["a"])
         world.start()
         world.run(max_events=300_000)
         for name in ("b", "c", "d"):
             world.add_node(name)
+            world.set_members(world.nodes)
             world.run_until(world.now() + 1.0)
         world.run(max_events=500_000)
         views = {node.current_view for node in world.nodes.values()}

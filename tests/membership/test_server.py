@@ -104,7 +104,7 @@ def test_warm_registry_single_round(fabric):
     fabric.add_server("srv:1", clients=["b"])
     fabric.bootstrap()
     before = {sid: s.rounds_started for sid, s in fabric.servers.items()}
-    s0.add_client("c")
+    s0.update_clients(add=("c",))
     fabric.pump()
     after = {sid: s.rounds_started for sid, s in fabric.servers.items()}
     # one extra round each: registries were warm
@@ -133,9 +133,9 @@ def test_client_recovery_rejoins(fabric):
 def test_cids_monotonic_per_client_across_views(fabric):
     server = fabric.add_server("srv:0", clients=["a"])
     fabric.bootstrap()
-    server.add_client("b")
+    server.update_clients(add=("b",))
     fabric.pump()
-    server.remove_client("b")
+    server.update_clients(remove=("b",))
     fabric.pump()
     cids = [n.cid for n in fabric.notices_of("a") if isinstance(n, StartChangeNotice)]
     assert cids == sorted(cids)
@@ -145,7 +145,7 @@ def test_cids_monotonic_per_client_across_views(fabric):
 def test_view_counters_strictly_increase(fabric):
     server = fabric.add_server("srv:0", clients=["a"])
     fabric.bootstrap()
-    server.add_client("b")
+    server.update_clients(add=("b",))
     fabric.pump()
     counters = [v.vid.counter for v in fabric.views_of("a")]
     assert counters == sorted(counters)
@@ -180,6 +180,6 @@ def test_stale_proposals_ignored(fabric):
 
 def test_inactive_server_defers_rounds():
     server = MembershipServer("srv:0", send=lambda dst, m: None)
-    server.add_client("a")
-    server.add_client("b")
+    server.update_clients(add=("a",))
+    server.update_clients(add=("b",))
     assert server.rounds_started == 0

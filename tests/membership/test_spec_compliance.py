@@ -29,7 +29,7 @@ def replay_membership_events(trace, processes):
 
 @pytest.mark.parametrize("servers", [1, 2, 3])
 def test_server_membership_satisfies_spec(servers):
-    world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=servers)
+    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=servers)
     world.add_nodes([f"p{i}" for i in range(5)])
     world.start()
     world.run(max_events=100_000)
@@ -37,7 +37,7 @@ def test_server_membership_satisfies_spec(servers):
 
 
 def test_server_membership_spec_through_churn():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
     nodes = world.add_nodes([f"p{i}" for i in range(4)])
     world.start()
     world.run(max_events=100_000)

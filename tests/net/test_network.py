@@ -80,7 +80,6 @@ def test_connectivity_queries():
     net.partition([["a", "b"], ["c"]])
     assert net.connected("a", "b")
     assert not net.connected("a", "c")
-    assert net.reachable_from("a") == {"a", "b"}
 
 
 def test_topology_listeners_notified():

@@ -74,14 +74,36 @@ def test_set_app_hooks_fire_after_bookkeeping():
     assert node.delivered == [("b", "ping")]  # bookkeeping still happened
 
 
-def test_server_mode_requires_servers():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=0)
-    with pytest.raises(Exception):
-        world.add_node("a")
+def test_tier_mode_requires_servers():
+    with pytest.raises(ValueError, match="at least one server"):
+        SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=0)
 
 
-def test_explicit_home_server_assignment():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
-    node = world.add_node("a", server="srv:1")
-    assert node.home_server == "srv:1"
-    assert "a" in world.servers["srv:1"].local_clients
+def _tier_world():
+    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+    world.add_nodes(["a", "b", "c"])
+    world.start()
+    world.run()
+    return world
+
+
+def test_tier_rejects_partition_without_reconfigure():
+    # The tier's servers react to every client change themselves, so a
+    # silent partition cannot be honoured: it used to form 2 views.
+    world = _tier_world()
+    views_before = len(world.views_formed)
+    with pytest.raises(ValueError, match="membership='oracle'"):
+        world.partition([["a"], ["b", "c"]], reconfigure=False)
+    world.run()
+    assert len(world.views_formed) == views_before
+    assert world.links.connected("a", "b")
+
+
+def test_tier_rejects_crash_without_reconfigure():
+    world = _tier_world()
+    views_before = len(world.views_formed)
+    with pytest.raises(ValueError, match="membership='oracle'"):
+        world.crash("c", reconfigure=False)
+    world.run()
+    assert len(world.views_formed) == views_before
+    assert not world.nodes["c"].endpoint.crashed

@@ -3,7 +3,9 @@
 Random schedules of server-tier partitions, heals, client churn, and
 client crashes must keep every client's notice stream compliant with the
 MBRSHP specification (Figure 2), and a final stable period must converge
-every reachable client onto one identical view.
+every reachable client onto one identical view.  The servers are the
+:class:`~repro.membership.tier.MembershipTier` the asyncio and TCP
+clusters run, here on the simulated network.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +17,7 @@ from repro.net import ConstantLatency, SimWorld
 from repro.spec.mbrshp import MbrshpSpec
 
 CLIENTS = [f"c{i}" for i in range(6)]
-SERVERS = ["srv:0", "srv:1"]
+SERVERS = 2
 
 MEMBERSHIP_SETTINGS = settings(
     max_examples=12,
@@ -47,19 +49,16 @@ def replay_against_spec(world):
 
 
 def server_groups(world):
-    by_server = {sid: [sid] for sid in SERVERS}
-    for pid, node in world.nodes.items():
-        by_server[node.home_server].append(pid)
-    return list(by_server.values())
+    """One partition group per server: the live clients homed to it."""
+    tier = world.tier
+    return [sorted(tier.clients_of([sid])) for sid in sorted(tier.servers)]
 
 
 class TestServerMembershipUnderChurn:
     @MEMBERSHIP_SETTINGS
     @given(schedule=events)
     def test_spec_compliance_and_convergence(self, schedule):
-        world = SimWorld(
-            latency=ConstantLatency(1.0), membership="servers", servers=len(SERVERS)
-        )
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=SERVERS)
         world.add_nodes(CLIENTS)
         world.start()
         world.run(max_events=300_000)
@@ -92,9 +91,7 @@ class TestServerMembershipUnderChurn:
     def test_gcs_safety_over_server_membership(self, schedule):
         from repro.checking import check_all_safety
 
-        world = SimWorld(
-            latency=ConstantLatency(1.0), membership="servers", servers=len(SERVERS)
-        )
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=SERVERS)
         world.add_nodes(CLIENTS)
         world.start()
         world.run(max_events=300_000)
