@@ -20,6 +20,7 @@ DEFAULT_DET_SCOPE: Tuple[str, ...] = (
     "repro.core",
     "repro.chaos",
     "repro.links",
+    "repro.net",
     "repro.scale",
     "repro.apps",
     "repro.checking.verdict",

@@ -103,3 +103,61 @@ def test_send_while_disconnected_then_heal_preserves_order_with_live_traffic():
     transports["a"].send({"b"}, "m3")
     clock.run()
     assert [m for _s, m in inboxes["b"]] == ["m1", "m2", "m3"]
+
+
+_RETRANSMIT_SCENARIO = """
+import dataclasses
+from repro.net import ConstantLatency, SimWorld
+
+def canon(value):
+    if isinstance(value, (set, frozenset)):
+        return sorted(canon(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        fields = [canon(getattr(value, f.name)) for f in dataclasses.fields(value)]
+        return [type(value).__name__] + fields
+    if isinstance(value, (tuple, list)):
+        return [canon(v) for v in value]
+    return repr(value)
+
+world = SimWorld(latency=ConstantLatency(1.0), membership="oracle")
+pids = [f"p{i}" for i in range(6)]
+nodes = world.add_nodes(pids)
+world.start()
+world.run()
+for node in nodes:
+    node.send("m-" + node.pid)
+world.run_until(world.now() + 0.5)
+world.partition([["p0"], pids[1:]], reconfigure=False)
+world.network.heal()
+world.run()
+for event in world.trace.events:
+    print(canon(event))
+"""
+
+
+def test_retransmit_order_is_hash_seed_independent():
+    """After a heal, p0 retransmits to five peers at one instant; the
+    order of those pumps is the order the peers deliver in, so it must
+    not follow set iteration order (two interpreters, two hash seeds)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", _RETRANSMIT_SCENARIO],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert "m-p0" in outputs[0]
