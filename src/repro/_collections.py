@@ -126,15 +126,21 @@ class MessageLog:
         """
         if message is None:
             raise ValueError("cannot store None in a MessageLog")
+        items = self._items
+        if index == self._prefix + 1 and index == self._base + len(items) + 1:
+            # The next slot of a gap-free log (FIFO arrival): O(1).
+            items.append(message)
+            self._prefix = index
+            return
         if index < 1:
             raise IndexError(f"MessageLog indices start at 1, got {index}")
         slot = index - self._base - 1
         if slot < 0:
             return  # below the acknowledged floor: globally delivered
-        while len(self._items) <= slot:
-            self._items.append(None)
-        if self._items[slot] is None:
-            self._items[slot] = message
+        while len(items) <= slot:
+            items.append(None)
+        if items[slot] is None:
+            items[slot] = message
             self._advance_prefix()
 
     def longest_prefix(self) -> int:

@@ -49,12 +49,26 @@ is free and cannot lose messages.
 The lane advances the version itself after each fast operation (through
 :meth:`~repro.ioa.automaton.Automaton.touch` semantics), keeping
 composition enabled-set caches honest if the general engine resumes.
+
+Runs
+----
+
+Receiving works on runs: :meth:`FastLane.try_receive` takes the
+messages of one simulator carrier from one sender and returns how many
+leading ones it delivered.  Steadiness, the sender's membership and its
+``view_msg`` are proven once per run; the per-copy body then repeats
+until a copy is not an ``AppMsg``, breaks the FIFO index check, or
+follows a version change the lane did not make.  The caller hands the
+remaining copies to the general engine one at a time, exactly as if
+each had arrived alone, so mixed runs interleave as per-copy delivery
+would.  :meth:`EndpointRunner.receive
+<repro.core.runner.EndpointRunner.receive>` offers a run of one.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro._collections import MessageLog
 from repro.checking.events import DeliverEvent, SendEvent
@@ -94,10 +108,11 @@ def fastpath_default() -> bool:
 class FastLane:
     """Direct dispatch of the steady-state send/deliver loop.
 
-    Owned by one :class:`~repro.core.runner.EndpointRunner`; both
-    ``try_send`` and ``try_receive`` return ``False`` whenever the
-    current state is not (or can no longer be proven) steady, in which
-    case the caller must run the operation through the general engine.
+    Owned by one :class:`~repro.core.runner.EndpointRunner`.
+    ``try_send`` returns ``False`` and ``try_receive`` returns how many
+    leading messages of its run it took (``0`` for none) whenever the
+    current state is not (or can no longer be proven) steady; the caller
+    must run what the lane did not take through the general engine.
     """
 
     __slots__ = (
@@ -208,45 +223,64 @@ class FastLane:
             runner._on_deliver(pid, payload)
         return True
 
-    def try_receive(self, src: ProcessId, message: Any) -> bool:
-        """``co_rfifo.deliver -> deliver`` as straight-line code.
+    def try_receive(self, src: ProcessId, messages: Sequence[Any]) -> int:
+        """``co_rfifo.deliver -> deliver`` as straight-line code, per run.
 
-        Handles exactly the steady-state shape: an original ``AppMsg``
-        from a view peer whose ``view_msg`` announces the current view,
-        arriving in FIFO order with no backlog (``rcvd == dlvrd``).
-        Everything else - view/sync/forwarded messages, holes, peers
-        mid-transition - falls back to the general engine.
+        ``messages`` is one carrier's run from ``src``, in channel order.
+        Steadiness, ``src``'s membership of the view and its ``view_msg``
+        are proven once; then each leading copy is replayed while it has
+        the steady-state shape: an original ``AppMsg`` arriving in FIFO
+        order with no backlog (``rcvd == dlvrd``), and no version change
+        since the previous copy (a delivery callback that touched the
+        endpoint voids the proof).  Returns how many leading copies were
+        delivered; the caller sends the rest - view/sync/forwarded
+        messages, holes, whatever follows them - through the general
+        engine one at a time, which re-offers each to the lane as a run
+        of one.
         """
         # Type check before revalidation: only an AppMsg can ever take
         # the lane, and during a reconfiguration the traffic is view and
         # sync messages - each of which would otherwise pay a full
         # steadiness re-proof (including the enabled_actions catch-all)
         # just to be rejected here anyway.
-        if type(message) is not AppMsg:
-            return False
+        if type(messages[0]) is not AppMsg:
+            return 0
         ep = self.endpoint
         if ep._state_version != self._version and not self._revalidate():
-            return False
+            return 0
         if src not in self._peers:
-            return False
-        if ep.view_msg.get(src) != self._view:
-            return False
-        index = self._last_rcvd.get(src, 0) + 1
-        if index != self._last_dlvrd.get(src, 0) + 1:
-            return False  # backlog or hole: not the steady-state shape
+            return 0
+        view = self._view
+        if ep.view_msg.get(src) != view:
+            return 0
         log = self._src_logs.get(src)
         if log is None:
-            log = self._src_logs[src] = ep.buffer(src, self._view)
-        payload = message.payload
-        log.put(index, payload)
-        self._last_rcvd[src] = index
-        self._last_dlvrd[src] = index
-        self._version = ep.touch()  # keep enabled-set caches honest
+            log = self._src_logs[src] = ep.buffer(src, view)
+        last_rcvd = self._last_rcvd
+        last_dlvrd = self._last_dlvrd
         runner = self.runner
-        runner.trace.append(DeliverEvent(runner._clock(), self.pid, src, payload))
-        if runner._on_deliver is not None:
-            runner._on_deliver(src, payload)
-        return True
+        append = runner.trace.append
+        clock = runner._clock
+        on_deliver = runner._on_deliver
+        pid = self.pid
+        version = self._version
+        taken = 0
+        for message in messages:
+            if type(message) is not AppMsg or ep._state_version != version:
+                break
+            index = last_rcvd.get(src, 0) + 1
+            if index != last_dlvrd.get(src, 0) + 1:
+                break  # backlog or hole: not the steady-state shape
+            payload = message.payload
+            log.put(index, payload)
+            last_rcvd[src] = index
+            last_dlvrd[src] = index
+            version = self._version = ep.touch()  # keep enabled-set caches honest
+            append(DeliverEvent(clock(), pid, src, payload))
+            if on_deliver is not None:
+                on_deliver(src, payload)
+            taken += 1
+        return taken
 
     def __repr__(self) -> str:
         engaged = self.endpoint.state_version == self._version

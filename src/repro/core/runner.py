@@ -142,7 +142,7 @@ class EndpointRunner:
         if interceptor is not None and interceptor(sender, message):
             return
         lane = self.fast_lane
-        if lane is not None and lane.try_receive(sender, message):
+        if lane is not None and lane.try_receive(sender, (message,)):
             return
         self.endpoint.apply(Action("co_rfifo.deliver", (sender, self.pid, message)))
         self.drain()

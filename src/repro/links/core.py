@@ -23,6 +23,10 @@ A ``LinkCore`` owns, for one deployment's fabric:
   ``DuplicateCopy`` markers, so no end-point ever sees a duplicate;
 * the **per-link FIFO clamp** - :meth:`fifo_arrival` keeps arrivals on
   one ordered link monotone even under jittered latencies;
+* a **reach cache** - :meth:`reach_of` answers "whom can this source
+  reach?" from one set per source, rebuilt lazily after a topology
+  change or a new registration, so a multicast pays one set lookup per
+  destination instead of a full :meth:`connected` check;
 * uniform :class:`LinkStats` **counters** - per-kind and per-link, with
   ``totals()`` / ``reset_counters()`` on every substrate (previously the
   simulator alone counted messages).
@@ -88,6 +92,15 @@ class LinkStats:
         size = getattr(message, "estimated_size", None)
         if size is not None:
             self.volume[kind] += size()
+
+    def record_sent_many(self, message: Any, links: int) -> None:
+        """``message`` went out on ``links`` links (a multicast); the
+        caller bumps ``per_link`` itself, once per link."""
+        kind = kind_of(message)
+        self.sent[kind] += links
+        size = getattr(message, "estimated_size", None)
+        if size is not None:
+            self.volume[kind] += size() * links
 
     def record_delivered(self, message: Any) -> None:
         self.delivered[kind_of(message)] += 1
@@ -168,8 +181,16 @@ class LinkCore:
         # reachability relation symmetric as the contract demands.
         self._allowed: Dict[ProcessId, FrozenSet[ProcessId]] = {}
         self._listeners: List[Callable[[], None]] = []
-        # Last granted arrival per ordered link: the FIFO clamp.
-        self._last_arrival: Dict[Link, float] = {}
+        # The reach cache: source -> the registered processes it is
+        # connected to.  Unrestricted sources share their component's set
+        # (``_components``, by group), so the cache stays O(processes)
+        # however many sources send.  Both are dropped on every topology
+        # change and new registration (:meth:`_drop_reach`).
+        self._reach: Dict[ProcessId, FrozenSet[ProcessId]] = {}
+        self._components: Dict[int, FrozenSet[ProcessId]] = {}
+        # Last granted arrival per ordered link: the FIFO clamp.  A driver
+        # clamping a whole multicast inline reads and writes it directly.
+        self.last_arrival: Dict[Link, float] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -177,7 +198,9 @@ class LinkCore:
 
     def ensure(self, pid: ProcessId) -> None:
         """Register ``pid`` on the fabric (idempotent)."""
-        self._group.setdefault(pid, 0)
+        if pid not in self._group:
+            self._group[pid] = 0
+            self._drop_reach()
 
     def processes(self) -> List[ProcessId]:
         return sorted(self._group)
@@ -230,12 +253,41 @@ class LinkCore:
         return self._permits(p, q) and self._permits(q, p)
 
     def reachable_from(self, p: ProcessId) -> Set[ProcessId]:
-        return {q for q in self._group if self.connected(p, q)}
+        return set(self.reach_of(p))
+
+    def reach_of(self, src: ProcessId) -> FrozenSet[ProcessId]:
+        """The registered processes ``src`` is connected to (cached).
+
+        Exact for registered destinations; a destination the fabric has
+        never seen is absent even when :meth:`connected` (which defaults
+        unknown processes to group 0) would admit it, so callers fall
+        back to :meth:`connected` on a miss.
+        """
+        reach = self._reach.get(src)
+        if reach is None:
+            if self._allowed:
+                reach = frozenset(q for q in self._group if self.connected(src, q))
+            else:
+                # Unrestricted: the reach set is src's whole component.
+                group = self._group.get(src, 0)
+                reach = self._components.get(group)
+                if reach is None:
+                    reach = frozenset(q for q, g in self._group.items() if g == group)
+                    self._components[group] = reach
+            self._reach[src] = reach
+        return reach
 
     def on_topology_change(self, listener: Callable[[], None]) -> None:
         self._listeners.append(listener)
 
+    def _drop_reach(self) -> None:
+        self._reach.clear()
+        self._components.clear()
+
     def _notify_topology(self) -> None:
+        # Before any listener runs: a listener's retransmissions must see
+        # the new topology.
+        self._drop_reach()
         for listener in list(self._listeners):
             listener()
 
@@ -251,8 +303,8 @@ class LinkCore:
         link - per-link FIFO is part of the CO_RFIFO contract.
         """
         link = (src, dst)
-        arrival = max(proposed, self._last_arrival.get(link, 0.0))
-        self._last_arrival[link] = arrival
+        arrival = max(proposed, self.last_arrival.get(link, 0.0))
+        self.last_arrival[link] = arrival
         return arrival
 
     # ------------------------------------------------------------------

@@ -14,6 +14,17 @@ reliable set, whether to retransmit after the heal or to drop
 than silently checking connectivity at arrival - keeps the per-link
 FIFO/no-gap discipline easy to preserve across flapping links.
 
+Work is per multicast and per carrier, not per copy.  CO_RFIFO's send
+is a multicast, and :meth:`SimNetwork.fan_out` admits one message to a
+sorted destination list in one call: reachability comes from the
+core's cached reach set, the per-kind counters move once per message,
+and the FIFO clamp and carrier coalescing run inline (with a fault
+injector, each destination still runs the core's ``outbound`` in
+order, so the seeded decision stream is unchanged).  :meth:`send` is
+its one-destination face.  A firing carrier hands its payloads to the
+receiver as one run, so the receiving node can take a whole carrier in
+one fast-lane pass.
+
 The per-kind message counters live in the core's
 :class:`~repro.links.LinkStats`; the benchmark harness reads them to
 reproduce the paper's message-cost claims, and the legacy ``sent`` /
@@ -26,13 +37,15 @@ from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.links import BATCH_LIMIT, Link, LinkCore, kind_of
+from repro.links import BATCH_LIMIT, Link, LinkCore, WireCopy, kind_of
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.simclock import EventScheduler, ScheduledEvent
 from repro.types import ProcessId
 
 # receiver callback: (src, message) -> None
 DeliveryHandler = Callable[[ProcessId, Any], None]
+# run receiver callback: (src, payloads of one carrier, in channel order)
+RunHandler = Callable[[ProcessId, List[Any]], None]
 # bounce callback: (dst, message) -> None, invoked on failed transmission
 BounceHandler = Callable[[ProcessId, Any], None]
 
@@ -71,7 +84,7 @@ class SimNetwork:
         self.clock = clock
         self.latency = latency or ConstantLatency(1.0)
         self.core = core if core is not None else LinkCore(faults=faults)
-        self._handlers: Dict[ProcessId, DeliveryHandler] = {}
+        self._handlers: Dict[ProcessId, RunHandler] = {}
         # processes() cache: sorting a thousand handlers per call turns
         # every O(1) lookup into O(n log n); the version counter moves on
         # registration only.
@@ -99,10 +112,26 @@ class SimNetwork:
         pid: ProcessId,
         handler: DeliveryHandler,
         bounce: Optional[BounceHandler] = None,
+        *,
+        runs: bool = False,
     ) -> None:
+        """Attach ``pid``'s receiver.
+
+        ``handler`` takes one message at a time, or - with ``runs=True``
+        - each arriving carrier's payloads as one list (a
+        :data:`RunHandler`).
+        """
         if pid not in self._handlers:
             self._handlers_version += 1
-        self._handlers[pid] = handler
+        if runs:
+            run_handler = handler
+        else:
+
+            def run_handler(src: ProcessId, payloads: List[Any]) -> None:
+                for payload in payloads:
+                    handler(src, payload)
+
+        self._handlers[pid] = run_handler
         if bounce is not None:
             self._bounce[pid] = bounce
         self.core.ensure(pid)
@@ -157,36 +186,84 @@ class SimNetwork:
         return kind_of(message)
 
     def send(self, src: ProcessId, dst: ProcessId, message: Any) -> bool:
-        """Put ``message`` on the wire; False if src and dst are partitioned."""
-        transmission = self.core.outbound(src, dst, message)
-        if transmission is None:
-            return False
-        for wire, extra in transmission.copies:
-            self._schedule(src, dst, wire, extra)
-        return True
+        """Put ``message`` on the wire; False if src and dst are partitioned.
 
-    def _schedule(self, src: ProcessId, dst: ProcessId, wire: Any, extra: float) -> None:
-        link = (src, dst)
+        The one-destination face of :meth:`fan_out`.
+        """
+        return not self.fan_out(src, (dst,), message)
+
+    def fan_out(
+        self, src: ProcessId, dsts: Iterable[ProcessId], message: Any
+    ) -> List[ProcessId]:
+        """Put ``message`` on the wire to each of ``dsts``, in that order.
+
+        Returns the destinations a cut refused; nothing went on the wire
+        to them.  Without a fault injector the copies share everything
+        that does not depend on the destination: reachability comes from
+        the core's cached reach set, ``sent``/``volume`` are bumped once
+        for the whole multicast, and no per-copy
+        :class:`~repro.links.Transmission` is built.  With one, each
+        destination runs :meth:`LinkCore.outbound
+        <repro.links.LinkCore.outbound>` in order, so the injector draws
+        the same decision stream as one send per destination would.
+        """
+        core = self.core
+        faults = core.faults
+        refused: List[ProcessId] = []
+        accepted = 0
+        if faults is None:
+            reach = core.reach_of(src)
+            per_link = core.stats.per_link
+            copies: Tuple[WireCopy, ...] = ((message, 0.0),)
         now = self.clock.now
-        # The FIFO clamp must see every proposed arrival (it is stateful),
-        # so sample and clamp before deciding whether to coalesce.
-        arrival = self.core.fifo_arrival(
-            src, dst, now + self.latency.sample(src, dst) + extra
-        )
-        carrier = self._open.get(link)
-        if (
-            carrier is not None
-            and not carrier.closed
-            and extra == 0.0
-            and carrier.opened_at == now
-            and carrier.arrival == arrival
-            and len(carrier.copies) < BATCH_LIMIT
-        ):
-            # Same instant, same (clamped) arrival, same link: the copy
-            # rides the already-scheduled carrier.  Channel order within
-            # the carrier is append order, so per-link FIFO is untouched.
-            carrier.copies.append(wire)
-            return
+        sample = self.latency.sample
+        last_arrival = core.last_arrival
+        open_carriers = self._open
+        for dst in dsts:
+            link = (src, dst)
+            if faults is None:
+                if dst not in reach and not core.connected(src, dst):
+                    refused.append(dst)
+                    continue
+                per_link[link] += 1
+                accepted += 1
+            else:
+                transmission = core.outbound(src, dst, message)
+                if transmission is None:
+                    refused.append(dst)
+                    continue
+                copies = transmission.copies
+            for wire, extra in copies:
+                # The core's FIFO clamp, inline: it must see every proposed
+                # arrival (it is stateful), so sample and clamp before
+                # deciding whether to coalesce.
+                arrival = now + sample(src, dst) + extra
+                last = last_arrival.get(link, 0.0)
+                if arrival < last:
+                    arrival = last
+                last_arrival[link] = arrival
+                carrier = open_carriers.get(link)
+                if (
+                    carrier is not None
+                    and not carrier.closed
+                    and extra == 0.0
+                    and carrier.opened_at == now
+                    and carrier.arrival == arrival
+                    and len(carrier.copies) < BATCH_LIMIT
+                ):
+                    # Same instant, same (clamped) arrival, same link: the
+                    # copy rides the already-scheduled carrier.  Channel
+                    # order within the carrier is append order, so
+                    # per-link FIFO is untouched.
+                    carrier.copies.append(wire)
+                else:
+                    self._open_carrier(link, wire, arrival, now)
+        if accepted:
+            core.stats.record_sent_many(message, accepted)
+        return refused
+
+    def _open_carrier(self, link: Link, wire: Any, arrival: float, now: float) -> None:
+        src, dst = link
         flight = self._in_flight.setdefault(link, deque())
         carrier = _Carrier(wire, arrival, now)
         self._open[link] = carrier
@@ -205,10 +282,10 @@ class SimNetwork:
                     flight.remove(entry)
                 except ValueError:
                     pass
+            payloads = self.core.inbound_batch(src, dst, carrier.copies)
             handler = self._handlers.get(dst)
-            for payload in self.core.inbound_batch(src, dst, carrier.copies):
-                if handler is not None:
-                    handler(src, payload)
+            if handler is not None and payloads:
+                handler(src, payloads)
 
         event = self.clock.schedule_at(arrival, deliver)
         entry = (event, carrier)

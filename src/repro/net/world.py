@@ -84,7 +84,9 @@ class SimNode:
         self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
         from repro.net.transport import SimTransport  # local import: no cycle
 
-        self.transport = SimTransport(pid, world.network, self._on_wire_message)
+        self.transport = SimTransport(
+            pid, world.network, self._on_wire_message, self._on_wire_run
+        )
         self.runner = EndpointRunner(
             endpoint,
             # Late-bound, so class-level instrumentation of
@@ -106,6 +108,19 @@ class SimNode:
         self.runner.app_send(payload)
 
     # -- inbound ----------------------------------------------------------
+
+    def _on_wire_run(self, src: ProcessId, messages: List[Any]) -> int:
+        """Offer a carrier's run to the fast lane; how many it delivered.
+
+        The lane takes the steady-state prefix in one pass.  The rest -
+        and the whole run while an overlay intercepts receives - goes
+        through :meth:`_on_wire_message` one message at a time.
+        """
+        runner = self.runner
+        lane = runner.fast_lane
+        if lane is None or runner.receive_interceptor is not None:
+            return 0
+        return lane.try_receive(src, messages)
 
     def _on_wire_message(self, src: ProcessId, message: Any) -> None:
         if isinstance(message, StartChangeNotice):
@@ -160,8 +175,8 @@ class SimWorld:
         *,
         latency: Optional[LatencyModel] = None,
         membership: str = "oracle",
-        round_duration: float = 1.0,
-        servers: int = 1,
+        round_duration: Optional[float] = None,
+        servers: Optional[int] = None,
         forwarding: Optional[ForwardingStrategy] = None,
         endpoint_cls: Type[GcsEndpoint] = GcsEndpoint,
         gc_views: bool = True,
@@ -189,15 +204,24 @@ class SimWorld:
             self._endpoint_kwargs["ack_gc_interval"] = ack_gc_interval
         self.oracle: Optional[OracleMembership] = None
         self.tier: Optional[MembershipTier] = None
+        # Each knob belongs to one membership mode; set on the other, it
+        # would be silently ignored and a sweep over it would measure
+        # nothing.
         if membership == "oracle":
-            self.oracle = OracleMembership(self.clock, round_duration=round_duration)
+            if servers is not None:
+                raise ValueError("servers= requires membership='tier'")
+            self.oracle = OracleMembership(
+                self.clock, round_duration=1.0 if round_duration is None else round_duration
+            )
         elif membership == "tier":
+            if round_duration is not None:
+                raise ValueError("round_duration= requires membership='oracle'")
             # The full substrate-neutral tier - the same MembershipTier
             # (durable watermark store, crashable servers) the asyncio
             # and TCP clusters run, over the simulated network.
             self.tier = MembershipTier(
                 SimTierLink(self.network),
-                servers=servers,
+                servers=1 if servers is None else servers,
                 links=self.network.core,
                 trace=self.trace,
                 clock=lambda: self.clock.now,

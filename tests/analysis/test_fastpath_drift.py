@@ -26,6 +26,16 @@ from repro.core.gcs_endpoint import GcsEndpoint
 _ANCHOR = "        ep.last_sent = index\n"
 _MUTATION = _ANCHOR + "        ep.mbrshp_view = self._view\n"
 
+# Inside try_receive's run loop: a write through a local alias of
+# endpoint state.  forwarded_set belongs to the forwarding machinery;
+# neither co_rfifo.deliver nor deliver writes it.
+_RUN_ANCHOR = "            last_dlvrd[src] = index\n"
+_RUN_MUTATION = (
+    _RUN_ANCHOR
+    + "            forwarded = ep.forwarded_set\n"
+    + "            forwarded.add((src, index))\n"
+)
+
 
 @pytest.fixture(scope="module")
 def lane_checker():
@@ -64,6 +74,16 @@ def test_seeded_spurious_write_is_flagged(lane_checker):
     (finding,) = findings
     assert "mbrshp_view" in finding.explanation
     assert "try_send" in finding.explanation
+
+
+def test_aliased_write_in_run_loop_is_flagged(lane_checker):
+    source, check = lane_checker
+    assert source.count(_RUN_ANCHOR) == 1, "run-loop mutation anchor drifted"
+    findings = check(source.replace(_RUN_ANCHOR, _RUN_MUTATION))
+    assert [f.rule_id for f in findings] == ["R6.spurious-write"]
+    (finding,) = findings
+    assert "forwarded_set" in finding.explanation
+    assert "try_receive" in finding.explanation
 
 
 def test_unknown_replay_claim_is_flagged(lane_checker):

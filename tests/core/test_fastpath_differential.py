@@ -20,6 +20,7 @@ without a single event reordered, duplicated, or lost.
 """
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -160,6 +161,74 @@ def test_sim_jittered_latency_identical():
             world.run()
 
     assert_sim_differential(build, make_latency=lambda: UniformLatency(0.5, 3.0, seed=9))
+
+
+def test_sim_mixed_carrier_runs_identical(monkeypatch):
+    """A carrier's run mixes AppMsgs with other kinds; the lane takes a
+    prefix and the general engine the rest, in channel order.
+
+    Same-instant sends race an oracle reconfigure whose round ends at
+    once, over zero latency: one sender's carrier holds its last old-view
+    AppMsg, its sync, forwards and view message, then a new-view AppMsg
+    sent by the view callback.  Later, a reply sent from inside a
+    delivery moves the receiver's state mid-run, so the lane must stop
+    after the first copy of a steady run and hand back the rest.
+    """
+    from repro.core import fastpath
+    from repro.core.messages import AppMsg
+
+    runs = []  # (one letter per copy: "A" for AppMsg, else "x"; copies taken)
+    original = fastpath.FastLane.try_receive
+
+    def spy(lane, src, messages):
+        taken = original(lane, src, messages)
+        runs.append(("".join("A" if type(m) is AppMsg else "x" for m in messages), taken))
+        return taken
+
+    monkeypatch.setattr(fastpath.FastLane, "try_receive", spy)
+
+    def build(world):
+        nodes = world.add_nodes(["p0", "p1", "p2"])
+        world.start()
+        world.run()
+        for node in nodes:
+            node.set_app(
+                on_view=lambda view, _t, node=node: node.send(("hello", node.pid, view.vid.counter))
+            )
+        world.oracle.reconfigure([["p0", "p1", "p2"]])
+        for node in nodes:
+            node.send(("racing", node.pid))
+        world.run()
+        replied = []
+
+        def reply(sender, payload, node=nodes[2]):
+            if payload == ("p0", 0, 0) and not replied:
+                replied.append(payload)
+                node.send(("reply", payload))
+
+        nodes[2].set_app(on_deliver=reply)
+        for round_no in range(3):
+            for node in nodes:
+                for k in range(3):
+                    node.send((node.pid, round_no, k))
+            world.run()
+
+    traces = []
+    for fastpath_on in (True, False):
+        world = SimWorld(
+            latency=ConstantLatency(0.0),
+            membership="oracle",
+            round_duration=0.0,
+            fastpath=fastpath_on,
+        )
+        build(world)
+        traces.append(world.trace.events)
+    fast, slow = traces
+    assert len(fast) > 0
+    assert fast == slow
+
+    assert any(re.search("Ax+A", kinds) for kinds, _taken in runs)
+    assert any(0 < taken < len(kinds) for kinds, taken in runs)
 
 
 # ----------------------------------------------------------------------

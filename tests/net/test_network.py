@@ -163,3 +163,53 @@ def test_inflight_entry_keyed_by_event_not_message_identity():
     assert received == [message]
     assert bounced == [message]
     assert not any(net._in_flight.values())
+
+
+def test_fan_out_counters_across_a_mid_flight_cut():
+    """Exact LinkStats of multicasts through the transports when a cut
+    bounces part of them mid-flight: ``sent`` and ``volume`` count each
+    accepted copy, ``per_link`` each destination, and the bounced copies
+    a reliable sender retransmits after the heal count again."""
+    from repro.core.messages import SyncMsg
+    from repro.net.transport import SimTransport
+    from repro.types import View, ViewId, make_cut
+
+    clock = EventScheduler()
+    net = SimNetwork(clock, ConstantLatency(1.0))
+    pids = ["a", "b", "c", "d"]
+    inboxes = {pid: [] for pid in pids}
+    transports = {
+        pid: SimTransport(
+            pid, net, on_receive=lambda src, m, box=inboxes[pid]: box.append((src, m))
+        )
+        for pid in pids
+    }
+    transports["a"].set_reliable({"a", "b", "c"})  # d's suffix is lost at the cut
+    sync = SyncMsg(1, View(ViewId(1), frozenset(pids)), make_cut({"a": 2, "b": 0, "c": 1}))
+    transports["a"].send(pids, "m1")
+    transports["a"].send(pids, sync)
+    transports["b"].send(pids, "m2")
+    clock.run_until(0.5)  # all of it still in flight
+    net.partition([["a", "b"], ["c", "d"]])
+    transports["a"].send(pids, "m3")
+    transports["c"].send(pids, sync)
+    net.heal()
+    transports["a"].send(pids, "m4")
+    clock.run()
+
+    stats = net.core.stats
+    assert dict(stats.sent) == {"str": 12, "SyncMsg": 5}
+    assert dict(stats.volume) == {"SyncMsg": 40}
+    assert dict(stats.delivered) == {"str": 8, "SyncMsg": 3}
+    assert dict(stats.bounced) == {"str": 4, "SyncMsg": 2}
+    assert dict(stats.per_link) == {
+        ("a", "b"): 4,
+        ("a", "c"): 6,
+        ("a", "d"): 3,
+        ("b", "a"): 1,
+        ("b", "c"): 1,
+        ("b", "d"): 1,
+        ("c", "d"): 1,
+    }
+    assert [m for _s, m in inboxes["c"]] == ["m1", sync, "m3", "m4"]
+    assert [m for _s, m in inboxes["d"]] == [sync, "m4"]

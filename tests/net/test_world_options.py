@@ -107,3 +107,16 @@ def test_tier_rejects_crash_without_reconfigure():
     world.run()
     assert len(world.views_formed) == views_before
     assert not world.nodes["c"].endpoint.crashed
+
+
+def test_tier_rejects_round_duration():
+    # The tier's servers run their own rounds; the oracle's knob used to
+    # be ignored here (round_duration=9.0 bootstrapped like 1.0).
+    with pytest.raises(ValueError, match="membership='oracle'"):
+        SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2, round_duration=9.0)
+
+
+def test_oracle_rejects_servers():
+    # The oracle has no servers; servers=5 used to build no tier at all.
+    with pytest.raises(ValueError, match="membership='tier'"):
+        SimWorld(latency=ConstantLatency(1.0), membership="oracle", servers=5)
